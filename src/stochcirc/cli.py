@@ -1,7 +1,8 @@
 """Command-line entry point: every experiment emits plot-ready CSV/PGM/JSON.
 
 Artifacts are deterministic: identical command, seed, and inputs produce
-byte-identical files regardless of the worker count. Each subcommand writes
+byte-identical files. Updates run serially; --threads is accepted and
+validated but never changes results. Each subcommand writes
 a metadata JSON (command, seed, parameters, package version) next to its
 outputs; no timestamps anywhere.
 
@@ -81,12 +82,23 @@ EXIT_CODES = [
 ]
 
 
-def _fail(exc) -> int:
-    click.echo(f"error: {exc}", err=True)
-    for kinds, code in EXIT_CODES:
-        if isinstance(exc, kinds):
-            return code
-    raise exc
+class _Main(click.Group):
+    """The root group; maps every library and JSON error to its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (StochcircError, json.JSONDecodeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds)))
+
+
+def _number(text: str, convert, what: str):
+    """convert(text); text that is not a number is a ConfigError."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be a number, got {text!r}") from None
 
 
 def _parse_format(text: str | None):
@@ -118,12 +130,12 @@ def _load_graph(model, evidence):
         if "=" not in item:
             raise ConfigError(f"evidence must be var=value, got {item!r}")
         name, _, value = item.partition("=")
-        graph.evidence[name] = int(value)
+        graph.evidence[name] = _number(value, int, f"evidence value for {name!r}")
     # revalidate evidence names/ranges
     return type(graph)(graph.variables, graph.factors, graph.evidence)
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(__version__)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
               help="Master seed; every stream in the run forks from it.")
@@ -137,8 +149,9 @@ def _load_graph(model, evidence):
               help="Update schedule for compiled chains.")
 @click.option("--fault-rate", type=float, default=0.0, show_default=True,
               help="Per-bit register flip probability per transition.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for group-parallel updates; never changes results.")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Accepted for compatibility; updates run serially and the "
+                   "value never changes results.")
 @click.pass_context
 def main(ctx, seed, out_dir, fmt, schedule, fault_rate, threads):
     """Stochastic digital circuits for sampling-based Bayesian inference."""
@@ -148,7 +161,7 @@ def main(ctx, seed, out_dir, fmt, schedule, fault_rate, threads):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx.obj.update(seed=seed, out_dir=out, fmt_text=fmt, schedule=schedule,
-                   fault_rate=fault_rate, threads=threads)
+                   fault_rate=fault_rate)
 
 
 def _ctx_format(ctx):
@@ -168,22 +181,19 @@ def gate():
 @click.pass_context
 def gate_sample(ctx, cpt_path, input_word, draws):
     """Sample a table gate and emit the output histogram."""
-    try:
-        with open(cpt_path, "r", encoding="utf-8") as fh:
-            g = TableGate(Cpt.from_json(fh.read()))
-        stream = EntropyStream(ctx.obj["seed"])
-        counts = np.zeros(1 << g.n, dtype=np.int64)
-        for _ in range(draws):
-            counts[g.sample(input_word, stream)] += 1
-        lines = ["value,count,frequency"]
-        for v, c in enumerate(counts):
-            lines.append(f"{v},{int(c)},{float(c / draws)!r}")
-        out = ctx.obj["out_dir"]
-        _write(out / "gate_sample.csv", "\n".join(lines) + "\n")
-        _write_meta(out, "gate_sample", "gate sample", ctx.obj["seed"],
-                    {"cpt": str(cpt_path), "input": input_word, "n": draws})
-    except StochcircError as exc:
-        sys.exit(_fail(exc))
+    with open(cpt_path, "r", encoding="utf-8") as fh:
+        g = TableGate(Cpt.from_json(fh.read()))
+    stream = EntropyStream(ctx.obj["seed"])
+    counts = np.zeros(1 << g.n, dtype=np.int64)
+    for _ in range(draws):
+        counts[g.sample(input_word, stream)] += 1
+    lines = ["value,count,frequency"]
+    for v, c in enumerate(counts):
+        lines.append(f"{v},{int(c)},{float(c / draws)!r}")
+    out = ctx.obj["out_dir"]
+    _write(out / "gate_sample.csv", "\n".join(lines) + "\n")
+    _write_meta(out, "gate_sample", "gate sample", ctx.obj["seed"],
+                {"cpt": str(cpt_path), "input": input_word, "n": draws})
 
 
 @main.command("precision-sweep")
@@ -194,16 +204,14 @@ def gate_sample(ctx, cpt_path, input_word, draws):
 @click.pass_context
 def precision_sweep_cmd(ctx, k, per_bin, bits):
     """Truncation-loss sweep across entropy bins and formats."""
-    try:
-        formats = [EnergyFormat(int(b), max(1, int(b) // 2)) for b in bits.split(",")]
-        rows = precision_sweep(k=k, n_dists=per_bin, formats=formats,
-                               seed=ctx.obj["seed"])
-        out = ctx.obj["out_dir"]
-        _write(out / "precision_sweep.csv", sweep_rows_to_csv(rows))
-        _write_meta(out, "precision_sweep", "precision-sweep", ctx.obj["seed"],
-                    {"outcomes": k, "per_bin": per_bin, "bits": bits})
-    except StochcircError as exc:
-        sys.exit(_fail(exc))
+    bit_list = [_number(b, int, "--bits") for b in bits.split(",")]
+    formats = [EnergyFormat(b, max(1, b // 2)) for b in bit_list]
+    rows = precision_sweep(k=k, n_dists=per_bin, formats=formats,
+                           seed=ctx.obj["seed"])
+    out = ctx.obj["out_dir"]
+    _write(out / "precision_sweep.csv", sweep_rows_to_csv(rows))
+    _write_meta(out, "precision_sweep", "precision-sweep", ctx.obj["seed"],
+                {"outcomes": k, "per_bin": per_bin, "bits": bits})
 
 
 @main.group()
@@ -215,11 +223,8 @@ def fg():
 @click.argument("model", type=click.Path(exists=True))
 def fg_validate(model):
     """Parse and validate a model file; exit 0 when well formed."""
-    try:
-        graph = parse_file(model)
-        click.echo(f"ok: {len(graph.variables)} variables, {len(graph.factors)} factors")
-    except (StochcircError, json.JSONDecodeError) as exc:
-        sys.exit(_fail(exc))
+    graph = parse_file(model)
+    click.echo(f"ok: {len(graph.variables)} variables, {len(graph.factors)} factors")
 
 
 @main.command("compile")
@@ -230,26 +235,23 @@ def fg_validate(model):
 @click.pass_context
 def compile_cmd(ctx, model, kernel, evidence):
     """Compile a factor graph and emit its coloring and schedule."""
-    try:
-        graph = _load_graph(model, evidence)
-        fmt = _ctx_format(ctx)
-        schedule = ctx.obj["schedule"]
-        assembly = compile_graph(graph, kernel=kernel, fmt=fmt,
-                                 schedule=schedule, seed=ctx.obj["seed"])
-        doc = {
-            "variables": {n: assembly.circuits[n].arity for n in sorted(assembly.circuits)},
-            "coloring": assembly.meta["coloring"],
-            "schedule": assembly.schedule,
-            "clamped": assembly.clamped,
-            "kernel": kernel,
-            "format": assembly.meta["format"],
-        }
-        out = ctx.obj["out_dir"]
-        _write(out / "assembly.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        _write_meta(out, "compile", "compile", ctx.obj["seed"],
-                    {"model": str(model), "schedule": schedule, "kernel": kernel})
-    except (StochcircError, json.JSONDecodeError) as exc:
-        sys.exit(_fail(exc))
+    graph = _load_graph(model, evidence)
+    fmt = _ctx_format(ctx)
+    schedule = ctx.obj["schedule"]
+    assembly = compile_graph(graph, kernel=kernel, fmt=fmt,
+                             schedule=schedule, seed=ctx.obj["seed"])
+    doc = {
+        "variables": {n: assembly.circuits[n].arity for n in sorted(assembly.circuits)},
+        "coloring": assembly.meta["coloring"],
+        "schedule": assembly.schedule,
+        "clamped": assembly.clamped,
+        "kernel": kernel,
+        "format": assembly.meta["format"],
+    }
+    out = ctx.obj["out_dir"]
+    _write(out / "assembly.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_meta(out, "compile", "compile", ctx.obj["seed"],
+                {"model": str(model), "schedule": schedule, "kernel": kernel})
 
 
 @main.command("query")
@@ -261,22 +263,18 @@ def compile_cmd(ctx, model, kernel, evidence):
 @click.pass_context
 def query_cmd(ctx, model, evidence, sweeps, burn_in, thin):
     """Marginals of every variable under the given evidence clamps."""
-    try:
-        graph = _load_graph(model, evidence)
-        fmt = _ctx_format(ctx)
-        schedule = ctx.obj["schedule"]
-        assembly = compile_graph(graph, fmt=fmt, schedule=schedule,
-                                 seed=ctx.obj["seed"])
-        estimates, _ = run_query(assembly, graph.var_names, sweeps,
-                                 burn_in=burn_in, thin=thin,
-                                 threads=ctx.obj["threads"])
-        out = ctx.obj["out_dir"]
-        _write(out / "marginals.csv", marginals_to_csv(estimates))
-        _write_meta(out, "query", "query", ctx.obj["seed"],
-                    {"model": str(model), "evidence": list(evidence),
-                     "sweeps": sweeps, "thin": thin, "schedule": schedule})
-    except (StochcircError, json.JSONDecodeError) as exc:
-        sys.exit(_fail(exc))
+    graph = _load_graph(model, evidence)
+    fmt = _ctx_format(ctx)
+    schedule = ctx.obj["schedule"]
+    assembly = compile_graph(graph, fmt=fmt, schedule=schedule,
+                             seed=ctx.obj["seed"])
+    estimates, _ = run_query(assembly, graph.var_names, sweeps,
+                             burn_in=burn_in, thin=thin)
+    out = ctx.obj["out_dir"]
+    _write(out / "marginals.csv", marginals_to_csv(estimates))
+    _write_meta(out, "query", "query", ctx.obj["seed"],
+                {"model": str(model), "evidence": list(evidence),
+                 "sweeps": sweeps, "thin": thin, "schedule": schedule})
 
 
 @main.command("run")
@@ -288,22 +286,19 @@ def query_cmd(ctx, model, evidence, sweeps, burn_in, thin):
 @click.pass_context
 def run_cmd(ctx, model, evidence, sweeps, burn_in, thin):
     """Run the compiled chain and emit the raw state trace."""
-    try:
-        graph = _load_graph(model, evidence)
-        fmt = _ctx_format(ctx)
-        fault_rate = ctx.obj["fault_rate"]
-        assembly = compile_graph(graph, fmt=fmt, schedule=ctx.obj["schedule"],
-                                 seed=ctx.obj["seed"])
-        fault = FaultModel(fault_rate) if fault_rate > 0 else None
-        trace = run_assembly(assembly, sweeps, burn_in=burn_in, thin=thin,
-                             fault=fault, threads=ctx.obj["threads"])
-        out = ctx.obj["out_dir"]
-        _write(out / "trace.csv", trace.to_csv())
-        _write_meta(out, "run", "run", ctx.obj["seed"],
-                    {"model": str(model), "evidence": list(evidence),
-                     **trace.meta})
-    except (StochcircError, json.JSONDecodeError) as exc:
-        sys.exit(_fail(exc))
+    graph = _load_graph(model, evidence)
+    fmt = _ctx_format(ctx)
+    fault_rate = ctx.obj["fault_rate"]
+    assembly = compile_graph(graph, fmt=fmt, schedule=ctx.obj["schedule"],
+                             seed=ctx.obj["seed"])
+    fault = FaultModel(fault_rate) if fault_rate > 0 else None
+    trace = run_assembly(assembly, sweeps, burn_in=burn_in, thin=thin,
+                         fault=fault)
+    out = ctx.obj["out_dir"]
+    _write(out / "trace.csv", trace.to_csv())
+    _write_meta(out, "run", "run", ctx.obj["seed"],
+                {"model": str(model), "evidence": list(evidence),
+                 **trace.meta})
 
 
 @main.command("fault-report")
@@ -313,27 +308,24 @@ def run_cmd(ctx, model, evidence, sweeps, burn_in, thin):
 @click.pass_context
 def fault_report_cmd(ctx, model, rates, sweeps):
     """KL-vs-fault-rate curve against the exact enumeration oracle."""
-    try:
-        graph = _load_graph(model, ())
-        rate_list = [float(r) for r in rates.split(",")]
-        rows = fault_kl_report(graph, rate_list, sweeps=sweeps,
-                               seed=ctx.obj["seed"], fmt=_ctx_format(ctx))
-        out = ctx.obj["out_dir"]
-        _write(out / "fault_report.csv", fault_report_to_csv(rows))
-        _write_meta(out, "fault_report", "fault-report", ctx.obj["seed"],
-                    {"model": str(model), "rates": rate_list, "sweeps": sweeps})
-    except (StochcircError, json.JSONDecodeError) as exc:
-        sys.exit(_fail(exc))
+    graph = _load_graph(model, ())
+    rate_list = [_number(r, float, "--rates") for r in rates.split(",")]
+    rows = fault_kl_report(graph, rate_list, sweeps=sweeps,
+                           seed=ctx.obj["seed"], fmt=_ctx_format(ctx))
+    out = ctx.obj["out_dir"]
+    _write(out / "fault_report.csv", fault_report_to_csv(rows))
+    _write_meta(out, "fault_report", "fault-report", ctx.obj["seed"],
+                {"model": str(model), "rates": rate_list, "sweeps": sweeps})
 
 
 def _matching_run(ctx, mode, first_path, second_path, d, sweeps, lam, tau, anneal):
     pair = ImagePair(read_pgm(first_path), read_pgm(second_path))
     y = evidence_from_images(pair, d, mode=mode)
     m = LatticeMRF(pair.first.shape[0], pair.first.shape[1], d, y, lam=lam, tau=tau)
-    anneal_pair = None if anneal == "off" else tuple(float(t) for t in anneal.split(","))
+    anneal_pair = None if anneal == "off" else tuple(_number(t, float, "--anneal")
+                                                  for t in anneal.split(","))
     result = solve(m, sweeps, seed=ctx.obj["seed"], fmt=_ctx_format(ctx),
-                   anneal=anneal_pair, schedule=ctx.obj["schedule"],
-                   threads=ctx.obj["threads"])
+                   anneal=anneal_pair, schedule=ctx.obj["schedule"])
     out = ctx.obj["out_dir"]
     write_pgm(out / f"{mode}_labels.pgm", labels_to_gray(result.labels, d))
     click.echo(f"wrote {out / f'{mode}_labels.pgm'}")
@@ -355,10 +347,7 @@ def _matching_run(ctx, mode, first_path, second_path, d, sweeps, lam, tau, annea
 @click.pass_context
 def stereo_cmd(ctx, left, right, candidates, sweeps, lam, tau, anneal):
     """Disparity map for a rectified image pair (PGM in, PGM out)."""
-    try:
-        _matching_run(ctx, "stereo", left, right, candidates, sweeps, lam, tau, anneal)
-    except StochcircError as exc:
-        sys.exit(_fail(exc))
+    _matching_run(ctx, "stereo", left, right, candidates, sweeps, lam, tau, anneal)
 
 
 @main.command("motion")
@@ -372,10 +361,7 @@ def stereo_cmd(ctx, left, right, candidates, sweeps, lam, tau, anneal):
 @click.pass_context
 def motion_cmd(ctx, first, second, candidates, sweeps, lam, tau, anneal):
     """Motion labels between two frames (candidate offsets in ring order)."""
-    try:
-        _matching_run(ctx, "motion", first, second, candidates, sweeps, lam, tau, anneal)
-    except StochcircError as exc:
-        sys.exit(_fail(exc))
+    _matching_run(ctx, "motion", first, second, candidates, sweeps, lam, tau, anneal)
 
 
 @main.group()
@@ -400,51 +386,48 @@ def dpmm():
 def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
              is_idx, binarize, image_shape):
     """Cluster binary vectors from a 0/1 text matrix or an IDX image file."""
-    try:
-        if is_idx:
-            vectors, idx_shape = read_idx_images(data, threshold=binarize)
-            rows = np.stack(vectors)
-            if image_shape is None:
-                image_shape = f"{idx_shape[0]}x{idx_shape[1]}"
-        else:
-            rows = np.loadtxt(data, dtype=int, ndmin=2)
-        if rows.size == 0:
-            raise ShapeError("empty data file")
-        state = DpmmState(rows.shape[1], alpha=alpha, beta_on=beta_on,
-                          beta_off=beta_off)
-        stream = EntropyStream(ctx.obj["seed"])
-        for datum in rows:
-            idx = state.add_datum(datum)
-            _draw_assignment(state, idx, stream, DPMM_FORMAT)
-        count_hist = {}
-        assign_lines = ["sweep," + ",".join(f"d{i}" for i in range(rows.shape[0]))]
-        for sweep in range(burn_in + sweeps):
-            gibbs_sweep(state, stream)
-            if sweep >= burn_in:
-                k = len(state.clusters)
-                count_hist[k] = count_hist.get(k, 0) + 1
-                assign_lines.append(
-                    f"{sweep - burn_in}," + ",".join(str(a) for a in state.assignments))
-        out = ctx.obj["out_dir"]
-        _write(out / "assignments.csv", "\n".join(assign_lines) + "\n")
-        hist_lines = ["clusters,count"]
-        for k in sorted(count_hist):
-            hist_lines.append(f"{k},{count_hist[k]}")
-        _write(out / "cluster_counts.csv", "\n".join(hist_lines) + "\n")
-        if image_shape:
-            h, _, w = image_shape.partition("x")
-            shape = (int(h), int(w))
-        else:
-            shape = (1, rows.shape[1])
-        for rank, (count, probs) in enumerate(cluster_summaries(state)):
-            img = np.clip(np.round(probs.reshape(shape) * 255), 0, 255)
-            write_pgm(out / f"cluster_{rank:02d}_n{count}.pgm", img)
-            click.echo(f"wrote {out / f'cluster_{rank:02d}_n{count}.pgm'}")
-        _write_meta(out, "dpmm_run", "dpmm run", ctx.obj["seed"],
-                    {"data": str(data), "alpha": alpha, "beta_on": beta_on,
-                     "beta_off": beta_off, "sweeps": sweeps, "burn_in": burn_in})
-    except StochcircError as exc:
-        sys.exit(_fail(exc))
+    if is_idx:
+        vectors, idx_shape = read_idx_images(data, threshold=binarize)
+        rows = np.stack(vectors)
+        if image_shape is None:
+            image_shape = f"{idx_shape[0]}x{idx_shape[1]}"
+    else:
+        rows = np.loadtxt(data, dtype=int, ndmin=2)
+    if rows.size == 0:
+        raise ShapeError("empty data file")
+    state = DpmmState(rows.shape[1], alpha=alpha, beta_on=beta_on,
+                      beta_off=beta_off)
+    stream = EntropyStream(ctx.obj["seed"])
+    for datum in rows:
+        idx = state.add_datum(datum)
+        _draw_assignment(state, idx, stream, DPMM_FORMAT)
+    count_hist = {}
+    assign_lines = ["sweep," + ",".join(f"d{i}" for i in range(rows.shape[0]))]
+    for sweep in range(burn_in + sweeps):
+        gibbs_sweep(state, stream)
+        if sweep >= burn_in:
+            k = len(state.clusters)
+            count_hist[k] = count_hist.get(k, 0) + 1
+            assign_lines.append(
+                f"{sweep - burn_in}," + ",".join(str(a) for a in state.assignments))
+    out = ctx.obj["out_dir"]
+    _write(out / "assignments.csv", "\n".join(assign_lines) + "\n")
+    hist_lines = ["clusters,count"]
+    for k in sorted(count_hist):
+        hist_lines.append(f"{k},{count_hist[k]}")
+    _write(out / "cluster_counts.csv", "\n".join(hist_lines) + "\n")
+    if image_shape:
+        h, _, w = image_shape.partition("x")
+        shape = (_number(h, int, "--image-shape"), _number(w, int, "--image-shape"))
+    else:
+        shape = (1, rows.shape[1])
+    for rank, (count, probs) in enumerate(cluster_summaries(state)):
+        img = np.clip(np.round(probs.reshape(shape) * 255), 0, 255)
+        write_pgm(out / f"cluster_{rank:02d}_n{count}.pgm", img)
+        click.echo(f"wrote {out / f'cluster_{rank:02d}_n{count}.pgm'}")
+    _write_meta(out, "dpmm_run", "dpmm run", ctx.obj["seed"],
+                {"data": str(data), "alpha": alpha, "beta_on": beta_on,
+                 "beta_off": beta_off, "sweeps": sweeps, "burn_in": burn_in})
 
 
 @main.group()
@@ -460,20 +443,17 @@ def spike():
 @click.pass_context
 def spike_run(ctx, model, evidence, sweeps, burn_in):
     """Simulate an assembly with exponential races and emit the raster."""
-    try:
-        graph = _load_graph(model, evidence)
-        schedule = ctx.obj["schedule"]
-        assembly = compile_graph(graph, fmt=_ctx_format(ctx),
-                                 schedule=schedule, seed=ctx.obj["seed"])
-        raster, trace = simulate_spiking_assembly(assembly, sweeps, burn_in=burn_in)
-        out = ctx.obj["out_dir"]
-        _write(out / "raster.csv", raster.events_csv())
-        _write(out / "spike_trace.csv", trace.to_csv())
-        _write_meta(out, "spike_run", "spike run", ctx.obj["seed"],
-                    {"model": str(model), "evidence": list(evidence),
-                     "sweeps": sweeps})
-    except (StochcircError, json.JSONDecodeError) as exc:
-        sys.exit(_fail(exc))
+    graph = _load_graph(model, evidence)
+    schedule = ctx.obj["schedule"]
+    assembly = compile_graph(graph, fmt=_ctx_format(ctx),
+                             schedule=schedule, seed=ctx.obj["seed"])
+    raster, trace = simulate_spiking_assembly(assembly, sweeps, burn_in=burn_in)
+    out = ctx.obj["out_dir"]
+    _write(out / "raster.csv", raster.events_csv())
+    _write(out / "spike_trace.csv", trace.to_csv())
+    _write_meta(out, "spike_run", "spike run", ctx.obj["seed"],
+                {"model": str(model), "evidence": list(evidence),
+                 "sweeps": sweeps})
 
 
 @main.command("selftest")

@@ -104,7 +104,7 @@ def compile(graph: FactorGraph, kernel: str = "gibbs",
 
 
 def query(assembly: TransitionAssembly, query_vars, sweeps: int,
-          burn_in: int | None = None, thin: int = 1, threads: int = 1):
+          burn_in: int | None = None, thin: int = 1):
     """Marginal histograms with naive Monte Carlo standard errors.
 
     Returns {name: (probs, stderr)}. Standard errors are binomial on the
@@ -114,7 +114,7 @@ def query(assembly: TransitionAssembly, query_vars, sweeps: int,
     for name in query_vars:
         if name not in assembly.circuits:
             raise UnknownVariableError(f"query names unknown variable {name!r}")
-    trace = run(assembly, sweeps, burn_in=burn_in, thin=thin, threads=threads)
+    trace = run(assembly, sweeps, burn_in=burn_in, thin=thin)
     n = len(trace.rows)
     out = {}
     for name in query_vars:

@@ -38,7 +38,7 @@ class ScheduleViolationError(StochcircError):
 
 
 class ConfigError(StochcircError):
-    """Inconsistent run configuration (lattice size, thread count, format)."""
+    """Inconsistent run configuration (lattice size, temperature, format)."""
 
 
 class ShapeError(StochcircError):

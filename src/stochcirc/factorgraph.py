@@ -111,10 +111,6 @@ class FactorGraph:
         return [f for f in self.factors if name in f.vars]
 
 
-def make_factor(graph_arities, name, var_names, table) -> Factor:
-    return Factor(name, var_names, table, [graph_arities[v] for v in var_names])
-
-
 def parse(text: str) -> FactorGraph:
     """Parse the JSON schema; raises a distinct error kind per defect."""
     doc = json.loads(text)

@@ -75,7 +75,12 @@ class Cpt:
     @classmethod
     def from_json(cls, text: str) -> "Cpt":
         doc = json.loads(text)
-        return cls(int(doc["m"]), int(doc["n"]), doc["rows"])
+        try:
+            return cls(int(doc["m"]), int(doc["n"]), doc["rows"])
+        except KeyError as exc:
+            raise ConfigError(f"CPT JSON is missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed CPT JSON: {exc}") from None
 
 
 class StochasticGate:

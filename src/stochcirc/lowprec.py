@@ -143,6 +143,31 @@ def integer_weights(raws, fmt: EnergyFormat) -> list[int]:
     return out
 
 
+def float_weights(energies) -> list[float]:
+    """Float weights 2^-(e - e_min); +inf energies get weight 0.
+
+    Raises NoSupportError when every energy is infinite.
+    """
+    emin = min(energies)
+    if emin == math.inf:
+        raise NoSupportError("all energies saturated: distribution has no support")
+    return [2.0 ** -(e - emin) for e in energies]
+
+
+def invert_cdf(weights, u) -> int:
+    """The first index whose running weight sum exceeds u (0 <= u < sum).
+
+    A linear scan: K is small on every sampling path, where it beats
+    building a cumulative list for bisection.
+    """
+    acc = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
 class EnergyVector:
     """A vector of same-format energies over K outcomes."""
 
@@ -155,7 +180,6 @@ class EnergyVector:
                 raise DomainError(f"raw word {r} outside [0, {fmt.max_raw}]")
         self.raws = raws
         self.fmt = fmt
-        self._cum = None
 
     @classmethod
     def from_probs(cls, probs, fmt: EnergyFormat = DEFAULT_FORMAT) -> "EnergyVector":
@@ -174,9 +198,6 @@ class EnergyVector:
     def __len__(self):
         return len(self.raws)
 
-    def word(self, i: int) -> EnergyWord:
-        return EnergyWord(self.raws[i], self.fmt)
-
     def weights(self) -> list[int]:
         return integer_weights(self.raws, self.fmt)
 
@@ -186,53 +207,24 @@ class EnergyVector:
         total = sum(w)
         return np.array([wi / total for wi in w])
 
-    def _cumulative(self):
-        if self._cum is None:
-            w = self.weights()
-            cum = []
-            acc = 0
-            for wi in w:
-                acc += wi
-                cum.append(acc)
-            self._cum = (cum, acc)
-        return self._cum
-
 
 def discrete_sample(energies: EnergyVector, stream: EntropyStream) -> int:
     """Draw an outcome index with probability proportional to 2^(-energy)."""
-    cum, total = energies._cumulative()
-    u = stream.next_below(total)
-    # binary search over the integer CDF
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if u < cum[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def sample_raw_energies(raws, fmt: EnergyFormat, stream: EntropyStream) -> int:
-    """discrete_sample on a plain raw list, without building an EnergyVector."""
-    w = integer_weights(raws, fmt)
-    total = sum(w)
-    u = stream.next_below(total)
-    acc = 0
-    for i, wi in enumerate(w):
-        acc += wi
-        if u < acc:
-            return i
-    return len(w) - 1
+    weights = energies.weights()
+    return invert_cdf(weights, stream.next_below(sum(weights)))
 
 
 def declared_log2_weights(raw: np.ndarray, fmt: EnergyFormat) -> np.ndarray:
-    """Vectorized log2 of the integer weights; -inf for saturated entries."""
+    """Vectorized log2 of the integer weights along the last axis.
+
+    Saturated entries get -inf. Raises NoSupportError when some vector is
+    saturated everywhere.
+    """
     _, log2m = _multiplier_table(fmt.frac)
     sat = raw == fmt.max_raw
-    if np.all(sat):
+    if np.any(np.all(sat, axis=-1)):
         raise NoSupportError("all energies saturated: distribution has no support")
-    d = raw - raw[~sat].min()
+    d = raw - np.where(sat, fmt.max_raw, raw).min(axis=-1, keepdims=True)
     mask = (1 << fmt.frac) - 1
     qmax = fmt.max_raw >> fmt.frac
     lw = log2m[d & mask] + (qmax - (d >> fmt.frac))
@@ -259,15 +251,16 @@ def total_variation(p, q) -> float:
 
 
 def truncated_distribution(probs: np.ndarray, fmt: EnergyFormat) -> np.ndarray:
-    """The gate's declared distribution after encoding probs at the format."""
+    """The gate's declared distribution after encoding probs at the format.
+
+    Works along the last axis, so a (n, K) batch gives n distributions.
+    """
     p = np.asarray(probs, dtype=float)
     with np.errstate(divide="ignore"):
-        e = -np.log2(p / p.max())
-    raw = quantize_energies(e, fmt)
-    lw = declared_log2_weights(raw, fmt)
-    lw = lw - lw.max()
-    w = np.where(np.isfinite(lw), np.exp2(lw, where=np.isfinite(lw), out=np.zeros_like(lw)), 0.0)
-    return w / w.sum()
+        e = -np.log2(p / p.max(axis=-1, keepdims=True))
+    lw = declared_log2_weights(quantize_energies(e, fmt), fmt)
+    w = np.exp2(lw - lw.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def truncation_kl(probs, fmt: EnergyFormat) -> float:
@@ -352,26 +345,9 @@ def _bin_probs(target_bits: float, k: int, n_dists: int, rng: np.random.Generato
 
 def _batch_kl(probs: np.ndarray, fmt: EnergyFormat) -> np.ndarray:
     """truncation_kl over a (n, K) batch, vectorized."""
-    p = probs
-    pmax = p.max(axis=1, keepdims=True)
+    q = truncated_distribution(probs, fmt)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = -np.log2(p / pmax)
-    e = np.where(np.isnan(e), np.inf, e)
-    raw = quantize_energies(e, fmt)
-    sat = raw == fmt.max_raw
-    _, log2m = _multiplier_table(fmt.frac)
-    raw_min = np.where(sat, fmt.max_raw, raw).min(axis=1, keepdims=True)
-    d = raw - raw_min
-    mask = (1 << fmt.frac) - 1
-    qmax = fmt.max_raw >> fmt.frac
-    lw = log2m[d & mask] + (qmax - (d >> fmt.frac))
-    lw = np.where(sat, -np.inf, lw)
-    lmax = lw.max(axis=1, keepdims=True)
-    w = np.exp2(np.where(np.isfinite(lw), lw - lmax, -np.inf))
-    w_sum = w.sum(axis=1, keepdims=True)
-    q = w / w_sum
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = q * (np.log2(q) - np.log2(p))
+        terms = q * (np.log2(q) - np.log2(probs))
     terms = np.where(q > 0.0, terms, 0.0)
     return terms.sum(axis=1)
 

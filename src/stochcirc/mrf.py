@@ -183,8 +183,7 @@ class SolveResult:
 def solve(mrf: LatticeMRF, sweeps: int, seed: int = 0,
           fmt: EnergyFormat | None = DEFAULT_FORMAT,
           anneal: tuple[float, float] | None = (2.0, 0.1),
-          anneal_rungs: int = 24, schedule: str = "parallel",
-          threads: int = 1) -> SolveResult:
+          anneal_rungs: int = 24, schedule: str = "parallel") -> SolveResult:
     """Checkerboard Gibbs on the lattice; anneal=None samples at T=1.
 
     With annealing, temperature steps down a geometric ladder from
@@ -216,7 +215,7 @@ def solve(mrf: LatticeMRF, sweeps: int, seed: int = 0,
     for temperature, n in ladder:
         assembly.set_temperature(temperature)
         for _ in range(n):
-            run(assembly, 1, burn_in=0, threads=threads)
+            run(assembly, 1, burn_in=0)
             trace_energy.append(mrf.total_energy(grid_from_state(assembly.state)))
     labels = grid_from_state(assembly.state)
     meta = {

@@ -10,7 +10,8 @@ distribution. Saturated energies give rate zero and never fire.
 
 Assemblies are clocked quasi-synchronously: each schedule group occupies
 one unit epoch, all races of the group run inside it, and spike times are
-the raw exponential draws offset by the epoch start.
+the raw exponential draws offset by the epoch start. Under a random-scan
+schedule each scan draw is one epoch holding a single race.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 from .entropy import EntropyStream
-from .errors import ConfigError, NoSupportError, ScheduleViolationError
-from .lowprec import MULTIPLIER_BITS, EnergyVector, integer_weights
-from .transition import GibbsKernel, TransitionAssembly, Trace, validate_schedule
+from .errors import ConfigError, NoSupportError
+from .lowprec import MULTIPLIER_BITS, EnergyVector, float_weights, integer_weights
+from .transition import GibbsKernel, TransitionAssembly, Trace, _sweep
 
 
 def _rates_from_raw(raws, fmt) -> list[float]:
@@ -29,13 +30,6 @@ def _rates_from_raw(raws, fmt) -> list[float]:
     qmax = fmt.max_raw >> fmt.frac
     scale = 2.0 ** -(qmax + MULTIPLIER_BITS)
     return [w * scale for w in weights]
-
-
-def _rates_from_float(energies) -> list[float]:
-    emin = min(energies)
-    if emin == math.inf:
-        raise NoSupportError("all energies saturated: no unit can fire")
-    return [2.0 ** -(e - emin) for e in energies]
 
 
 def _race(rates, stream: EntropyStream):
@@ -89,54 +83,36 @@ def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,
 
     Only Gibbs kernels expose the per-value conditional energies a race
     needs. Returns (SpikeRaster, Trace); the trace is a valid Gibbs
-    trajectory with the same recording rules as transition.run.
+    trajectory with the same recording rules as transition.run. Each epoch
+    (one schedule group, or one random-scan draw) starts at its index.
     """
-    violations = validate_schedule(assembly)
-    if violations:
-        raise ScheduleViolationError(
-            f"schedule updates interacting circuits together: {violations}", violations)
     for circ in assembly.circuits.values():
         if not isinstance(circ.kernel, GibbsKernel):
             raise ConfigError("spiking simulation requires Gibbs kernels")
-    if burn_in is None:
-        burn_in = 10 * len(assembly.circuits)
-    var_names = sorted(assembly.circuits)
-    state = assembly.state
     raster = SpikeRaster()
-    rows = []
-    epoch = 0
-    for sweep in range(burn_in + sweeps):
-        for group in assembly.schedule:
-            live = [n for n in group if n not in assembly.clamped]
-            epoch_start = float(epoch)
-            if live:
-                snapshot = dict(state)
-                for name in live:
-                    circ = assembly.circuits[name]
-                    kernel = circ.kernel
-                    energies = kernel.conditional_energies(snapshot)
-                    if kernel.fmt is None:
-                        rates = _rates_from_float(energies)
-                    else:
-                        rates = _rates_from_raw(energies, kernel.fmt)
-                    try:
-                        winner, times = _race(rates, circ.stream)
-                    except NoSupportError:
-                        raise NoSupportError(
-                            f"variable {name!r}: conditional has no support",
-                            variable=name) from None
-                    if record_raster:
-                        for unit, t in enumerate(times):
-                            if math.isfinite(t):
-                                raster.events.append(
-                                    (epoch, epoch_start + t, name, unit))
-                        raster.transitions.append(
-                            (epoch, epoch_start + times[winner], name, winner))
-                    state[name] = winner
-            epoch += 1
-        if sweep >= burn_in and (sweep - burn_in) % thin == 0:
-            rows.append(tuple(state[n] for n in var_names))
+
+    def update(name, snapshot, epoch):
+        circ = assembly.circuits[name]
+        kernel = circ.kernel
+        energies = kernel.conditional_energies(snapshot)
+        try:
+            if kernel.fmt is None:
+                rates = float_weights(energies)
+            else:
+                rates = _rates_from_raw(energies, kernel.fmt)
+            winner, times = _race(rates, circ.stream)
+        except NoSupportError:
+            raise NoSupportError(
+                f"variable {name!r}: conditional has no support", variable=name) from None
+        if record_raster:
+            for unit, t in enumerate(times):
+                if math.isfinite(t):
+                    raster.events.append((epoch, epoch + t, name, unit))
+            raster.transitions.append((epoch, epoch + times[winner], name, winner))
+        return winner
+
+    var_names, rows, burn_in, epochs = _sweep(assembly, sweeps, burn_in, thin, update)
     meta = {"sweeps": sweeps, "burn_in": burn_in, "thin": thin,
-            "epochs": epoch, "clamped": dict(assembly.clamped)}
+            "epochs": epochs, "clamped": dict(assembly.clamped)}
     meta.update(assembly.meta)
     return raster, Trace(var_names, rows, meta)

@@ -17,7 +17,6 @@ without changing any conditional distribution. Zero weights are saturated
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .entropy import EntropyStream
 from .errors import ConfigError, DomainError, NoSupportError, ScheduleViolationError
 from .factorgraph import Factor
-from .lowprec import EnergyFormat, integer_weights
+from .lowprec import EnergyFormat, float_weights, integer_weights, invert_cdf
 
 
 def _specialized_energy_table(factor: Factor, var: str):
@@ -147,37 +146,16 @@ class GibbsKernel:
 
     def step(self, current: int, snapshot, stream: EntropyStream) -> int:
         energies = self.conditional_energies(snapshot)
-        if self.fmt is None:
-            return _sample_float_energies(energies, stream, self.var)
         try:
+            if self.fmt is None:
+                weights = float_weights(energies)
+                return invert_cdf(weights, stream.next_unit() * sum(weights))
             weights = integer_weights(energies, self.fmt)
         except NoSupportError:
             raise NoSupportError(
                 f"variable {self.var!r}: conditional has no support", variable=self.var
             ) from None
-        total = sum(weights)
-        u = stream.next_below(total)
-        acc = 0
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                return i
-        return len(weights) - 1
-
-
-def _sample_float_energies(energies, stream, var):
-    emin = min(energies)
-    if emin == float("inf"):
-        raise NoSupportError(f"variable {var!r}: conditional has no support", variable=var)
-    weights = [2.0 ** -(e - emin) for e in energies]
-    total = sum(weights)
-    u = stream.next_unit() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
+        return invert_cdf(weights, stream.next_below(sum(weights)))
 
 
 class MhKernel:
@@ -207,6 +185,8 @@ class MhKernel:
         self.set_temperature(1.0)
 
     def set_temperature(self, temperature: float):
+        if temperature <= 0:
+            raise ConfigError(f"temperature must be positive, got {temperature}")
         for p in self.parts:
             p.quantize(self.fmt, temperature)
 
@@ -325,15 +305,6 @@ class TransitionAssembly:
     def unclamp(self, name: str):
         self.clamped.pop(name, None)
 
-    def neighbors(self, name: str) -> set[str]:
-        out = set()
-        for a, b in self.edges:
-            if a == name:
-                out.add(b)
-            elif b == name:
-                out.add(a)
-        return out
-
     def set_temperature(self, temperature: float):
         for circ in self.circuits.values():
             circ.kernel.set_temperature(temperature)
@@ -390,15 +361,15 @@ def _apply_fault(value: int, circuit: TransitionCircuit, rate: float) -> int:
     return value
 
 
-def run(assembly: TransitionAssembly, sweeps: int, burn_in: int | None = None,
-        thin: int = 1, fault: FaultModel | None = None, threads: int = 1) -> Trace:
-    """Execute the schedule for burn_in + sweeps passes, recording after burn-in.
+def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
+           thin: int, update):
+    """The sweep loop shared by every realization of the transitions.
 
-    Within a group every circuit reads the snapshot taken at group start;
-    group order and within-group order are deterministic, and each circuit
-    draws only from its own stream, so results are identical for any thread
-    count. Register-bit faults (when rate > 0) consume draws from the owning
-    circuit's stream immediately after its transition.
+    update(name, snapshot, epoch) returns the circuit's next value. Within a
+    group every circuit reads the snapshot taken at group start; in
+    random-scan mode each draw reads the live state. An epoch is one
+    schedule group or one random-scan draw. A row is recorded after each
+    retained sweep. Returns (var_names, rows, burn_in, epochs).
     """
     if sweeps < 1:
         raise ConfigError(f"need at least one sweep, got {sweeps}")
@@ -418,47 +389,54 @@ def run(assembly: TransitionAssembly, sweeps: int, burn_in: int | None = None,
         assembly._validated = True
     if burn_in is None:
         burn_in = 10 * len(assembly.circuits)
-    rate = fault.bit_flip_rate if fault is not None else 0.0
     var_names = sorted(assembly.circuits)
     state = assembly.state
     rows = []
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-    def update_one(name, snapshot):
-        circ = assembly.circuits[name]
-        value = circ.kernel.step(state[name], snapshot, circ.stream)
-        if rate > 0.0:
-            value = _apply_fault(value, circ, rate)
-        return name, value
-
+    epoch = 0
     scan = assembly.scan_stream
     unclamped = [n for n in var_names if n not in assembly.clamped]
-    try:
-        for sweep in range(burn_in + sweeps):
-            if scan is not None and unclamped:
-                # mixture kernel: one sweep = |unclamped| uniformly drawn
-                # singleton updates
-                for _ in range(len(unclamped)):
-                    name = unclamped[scan.next_below(len(unclamped))]
-                    _, value = update_one(name, state)
-                    state[name] = value
-            else:
-                for group in assembly.schedule:
-                    live = [n for n in group if n not in assembly.clamped]
-                    if not live:
-                        continue
+    for sweep in range(burn_in + sweeps):
+        if scan is not None and unclamped:
+            # mixture kernel: one sweep = |unclamped| uniformly drawn
+            # singleton updates
+            for _ in range(len(unclamped)):
+                name = unclamped[scan.next_below(len(unclamped))]
+                state[name] = update(name, state, epoch)
+                epoch += 1
+        else:
+            for group in assembly.schedule:
+                live = [n for n in group if n not in assembly.clamped]
+                if live:
                     snapshot = dict(state)
-                    if pool is not None and len(live) > 1:
-                        results = list(pool.map(lambda n: update_one(n, snapshot), live))
-                    else:
-                        results = [update_one(n, snapshot) for n in live]
-                    for name, value in results:
-                        state[name] = value
-            if sweep >= burn_in and (sweep - burn_in) % thin == 0:
-                rows.append(tuple(state[n] for n in var_names))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    for name in live:
+                        state[name] = update(name, snapshot, epoch)
+                epoch += 1
+        if sweep >= burn_in and (sweep - burn_in) % thin == 0:
+            rows.append(tuple(state[n] for n in var_names))
+    return var_names, rows, burn_in, epoch
+
+
+def run(assembly: TransitionAssembly, sweeps: int, burn_in: int | None = None,
+        thin: int = 1, fault: FaultModel | None = None) -> Trace:
+    """Execute the schedule for burn_in + sweeps passes, recording after burn-in.
+
+    Within a group every circuit reads the snapshot taken at group start;
+    group order and within-group order are deterministic, and each circuit
+    draws only from its own stream. Register-bit faults (when rate > 0)
+    consume draws from the owning circuit's stream immediately after its
+    transition.
+    """
+    rate = fault.bit_flip_rate if fault is not None else 0.0
+    circuits = assembly.circuits
+
+    def update(name, snapshot, epoch):
+        circ = circuits[name]
+        value = circ.kernel.step(snapshot[name], snapshot, circ.stream)
+        if rate > 0.0:
+            value = _apply_fault(value, circ, rate)
+        return value
+
+    var_names, rows, burn_in, _ = _sweep(assembly, sweeps, burn_in, thin, update)
     meta = {
         "sweeps": sweeps,
         "burn_in": burn_in,

@@ -259,3 +259,47 @@ def test_every_subcommand_has_help(runner, args):
     result = runner.invoke(main, args + ["--help"])
     assert result.exit_code == 0
     assert "Usage" in result.output
+
+
+@pytest.mark.parametrize("text, code", [
+    ('{"m": 1, "n": 1, "rows": [[0.5, 0.5], [1.0, 0.0]]', 3),  # malformed JSON
+    ('{"m": 1, "rows": [[0.5, 0.5], [1.0, 0.0]]}', 6),          # no "n" field
+])
+def test_gate_sample_bad_cpt_exit_codes(runner, tmp_path, text, code):
+    cpt = tmp_path / "cpt.json"
+    cpt.write_text(text)
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "gate", "sample",
+                                  "--cpt", str(cpt), "--input", "0"])
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args", [
+    ["precision-sweep", "--bits", "4,x"],
+    ["query", "{model}", "--evidence", "A=x"],
+    ["fault-report", "{model}", "--rates", "0,x"],
+    ["stereo", "{left}", "{right}", "--anneal", "2,x"],
+])
+def test_malformed_number_exit_6(runner, tmp_path, model_file, args):
+    pair, _ = random_dot_stereogram(12, 12, 1, seed=0)
+    paths = {"model": model_file, "left": tmp_path / "l.pgm", "right": tmp_path / "r.pgm"}
+    write_pgm(paths["left"], pair.first)
+    write_pgm(paths["right"], pair.second)
+    argv = ["--out-dir", str(tmp_path / "out")] + [a.format(**paths) for a in args]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 6, result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(runner, tmp_path, model_file, threads):
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "--threads", threads,
+                                  "query", str(model_file), "--sweeps", "10"])
+    assert result.exit_code == 2
+    assert not (tmp_path / "marginals.csv").exists()
+
+
+def test_threads_help_says_serial_and_result_independent(runner):
+    text = " ".join(runner.invoke(main, ["--help"]).output.split())
+    assert "updates run serially" in text
+    assert "never changes results" in text

