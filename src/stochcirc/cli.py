@@ -1,8 +1,10 @@
 """Command-line entry point: every experiment emits plot-ready CSV/PGM/JSON.
 
 Artifacts are deterministic: identical command, seed, and inputs produce
-byte-identical files. Updates run serially; --threads is accepted and
-validated but never changes results. Each subcommand writes
+byte-identical files. Updates run serially in one thread; wide fixed-point
+Gibbs color classes run as numpy lanes that stay bit-identical to
+per-circuit updates. --threads is accepted and validated but never changes
+results. Each subcommand writes
 a metadata JSON (command, seed, parameters, package version) next to its
 outputs; no timestamps anywhere.
 
@@ -392,7 +394,10 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
         if image_shape is None:
             image_shape = f"{idx_shape[0]}x{idx_shape[1]}"
     else:
-        rows = np.loadtxt(data, dtype=int, ndmin=2)
+        try:
+            rows = np.loadtxt(data, dtype=int, ndmin=2)
+        except ValueError as exc:
+            raise ShapeError(f"data file must be a 0/1 integer matrix: {exc}") from None
     if rows.size == 0:
         raise ShapeError("empty data file")
     state = DpmmState(rows.shape[1], alpha=alpha, beta_on=beta_on,

@@ -48,12 +48,17 @@ class Factor:
         if len(set(self.vars)) != len(self.vars):
             raise DuplicateNameError(f"factor {name!r} repeats a variable")
         shape = tuple(arities)
-        flat = np.asarray(table, dtype=float).reshape(-1)
+        try:
+            flat = np.asarray(table, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise GraphError(f"factor {name!r}: table entries must be numbers") from None
         expected = int(np.prod(shape)) if shape else 1
         if flat.size != expected:
             raise TableLengthError(
                 f"factor {name!r}: table has {flat.size} entries, expected {expected}"
             )
+        if not np.all(np.isfinite(flat)):
+            raise GraphError(f"factor {name!r}: non-finite weight in table")
         if np.any(flat < 0):
             raise NegativeWeightError(f"factor {name!r}: negative weight in table")
         self.table = flat.reshape(shape)
@@ -79,6 +84,10 @@ class FactorGraph:
                         f"factor {f.name!r} references unknown variable {vn!r}"
                     )
         self.factors: list[Factor] = list(factors)
+        self._touching: dict[str, list[Factor]] = {n: [] for n in self.arity}
+        for f in self.factors:
+            for vn in f.vars:
+                self._touching[vn].append(f)
         self.evidence: dict[str, int] = dict(evidence or {})
         for name, val in self.evidence.items():
             if name not in self.arity:
@@ -108,7 +117,8 @@ class FactorGraph:
         return edges
 
     def factors_touching(self, name: str) -> list[Factor]:
-        return [f for f in self.factors if name in f.vars]
+        """The factors over name, in declaration order."""
+        return list(self._touching.get(name, ()))
 
 
 def parse(text: str) -> FactorGraph:
@@ -123,7 +133,11 @@ def parse(text: str) -> FactorGraph:
         raise GraphError(f"missing required field {exc.args[0]!r}") from None
     variables = []
     for vd in var_docs:
-        name, arity = str(vd["name"]), int(vd["arity"])
+        try:
+            name, arity = str(vd["name"]), int(vd["arity"])
+        except (KeyError, TypeError, ValueError):
+            raise GraphError(
+                f"variable entry {vd!r} needs a name and an integer arity") from None
         if arity < 1:
             raise GraphError(f"variable {name!r} has arity {arity}")
         variables.append(Variable(name, arity))
@@ -132,14 +146,16 @@ def parse(text: str) -> FactorGraph:
         raise DuplicateNameError("duplicate variable name")
     factors = []
     for fd in factor_docs:
-        fname = str(fd["name"])
-        fvars = [str(v) for v in fd["vars"]]
+        try:
+            fname, fvars, table = str(fd["name"]), [str(v) for v in fd["vars"]], fd["table"]
+        except (KeyError, TypeError):
+            raise GraphError(f"factor entry {fd!r} needs a name, vars and a table") from None
         for vn in fvars:
             if vn not in arity:
                 raise UnknownVariableError(
                     f"factor {fname!r} references unknown variable {vn!r}"
                 )
-        factors.append(Factor(fname, fvars, fd["table"], [arity[v] for v in fvars]))
+        factors.append(Factor(fname, fvars, table, [arity[v] for v in fvars]))
     graph = FactorGraph(variables, factors, doc.get("evidence"))
     if graph.joint_states() <= MAX_ENUM_STATES:
         joint = enumerate_joint(graph)  # raises NoSupportError when empty

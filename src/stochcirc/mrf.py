@@ -187,18 +187,17 @@ def solve(mrf: LatticeMRF, sweeps: int, seed: int = 0,
     """Checkerboard Gibbs on the lattice; anneal=None samples at T=1.
 
     With annealing, temperature steps down a geometric ladder from
-    anneal[0] to anneal[1]; kernels are requantized at each rung and the
+    anneal[0] to anneal[1]; each rung is one run at its temperature and the
     final state is the label estimate. The energy trace records the model
-    energy after every sweep.
+    energy after every sweep, read from the run's trace rows.
     """
     graph = mrf.to_factor_graph()
     assembly = compile_graph(graph, fmt=fmt, schedule=schedule, seed=seed)
-    names = [[mrf.site_name(i, j) for j in range(mrf.width)]
-             for i in range(mrf.height)]
-
-    def grid_from_state(state):
-        return np.array([[state[names[i][j]] for j in range(mrf.width)]
-                         for i in range(mrf.height)])
+    # trace rows list the variables in sorted name order
+    var_names = sorted(assembly.circuits)
+    column = {name: k for k, name in enumerate(var_names)}
+    grid = np.array([[column[mrf.site_name(i, j)] for j in range(mrf.width)]
+                     for i in range(mrf.height)])
 
     trace_energy = []
     if anneal is None:
@@ -211,13 +210,14 @@ def solve(mrf: LatticeMRF, sweeps: int, seed: int = 0,
         temps = np.geomspace(t_hi, t_lo, rungs)
         per = [sweeps // rungs + (1 if r < sweeps % rungs else 0)
                for r in range(rungs)]
-        ladder = [(float(t), n) for t, n in zip(temps, per) if n > 0]
+        ladder = [(float(t), n) for t, n in zip(temps, per)]
     for temperature, n in ladder:
+        if n < 1:
+            continue
         assembly.set_temperature(temperature)
-        for _ in range(n):
-            run(assembly, 1, burn_in=0)
-            trace_energy.append(mrf.total_energy(grid_from_state(assembly.state)))
-    labels = grid_from_state(assembly.state)
+        for row in run(assembly, n, burn_in=0).rows:
+            trace_energy.append(mrf.total_energy(np.array(row)[grid]))
+    labels = np.array([assembly.state[name] for name in var_names])[grid]
     meta = {
         "seed": seed, "sweeps": sweeps, "schedule": schedule,
         "format": None if fmt is None else [fmt.bits, fmt.frac],

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .entropy import EntropyStream
 from .errors import ConfigError, NoSupportError
 from .lowprec import MULTIPLIER_BITS, EnergyVector, float_weights, integer_weights
-from .transition import GibbsKernel, TransitionAssembly, Trace, _sweep
+from .transition import GibbsKernel, TransitionAssembly, Trace, _no_support, _sweep
 
 
 def _rates_from_raw(raws, fmt) -> list[float]:
@@ -102,8 +102,7 @@ def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,
                 rates = _rates_from_raw(energies, kernel.fmt)
             winner, times = _race(rates, circ.stream)
         except NoSupportError:
-            raise NoSupportError(
-                f"variable {name!r}: conditional has no support", variable=name) from None
+            raise _no_support(name) from None
         if record_raster:
             for unit, t in enumerate(times):
                 if math.isfinite(t):

@@ -13,6 +13,12 @@ is last and every row (one per neighbor configuration) is renormalized to
 min zero, which keeps fixed-point sums well inside the representable range
 without changing any conditional distribution. Zero weights are saturated
 ("impossible") and additions clamp into the saturation sentinel.
+
+A wide group of fixed-point Gibbs circuits runs as lanes: one numpy step
+updates every live circuit of the group, with each circuit's xorshift
+stream held as one uint64 lane. The lanes repeat the scalar kernel's
+integer arithmetic and draws exactly, so traces, registers and streams are
+bit-identical to updating the circuits one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +30,20 @@ import numpy as np
 from .entropy import EntropyStream
 from .errors import ConfigError, DomainError, NoSupportError, ScheduleViolationError
 from .factorgraph import Factor
-from .lowprec import EnergyFormat, float_weights, integer_weights, invert_cdf
+from .lowprec import (
+    MULTIPLIER_BITS,
+    EnergyFormat,
+    _multiplier_table,
+    float_weights,
+    integer_weights,
+    invert_cdf,
+)
+
+#: A group runs as lanes only from this many live circuits; narrower groups
+#: lose more to per-step array overhead than they save (crossover near 8).
+LANE_MIN_WIDTH = 16
+#: Lane weights are int64: Qmax + MULTIPLIER_BITS + ceil(log2 K) must fit.
+LANE_WEIGHT_BITS = 62
 
 
 def _specialized_energy_table(factor: Factor, var: str):
@@ -48,6 +67,30 @@ def _specialized_energy_table(factor: Factor, var: str):
     return neighbors, flat.reshape(energy.shape), moved.shape[-1]
 
 
+def _quantize_rows(float_rows: np.ndarray, fmt: EnergyFormat,
+                   temperature: float) -> np.ndarray:
+    """Raw words of float energy rows at a temperature, as int64.
+
+    The sentinel is reserved for true zero weights; finite energies clamp to
+    the largest representable value so cooling never manufactures
+    impossible states.
+    """
+    raw = np.rint(float_rows / temperature * (1 << fmt.frac))
+    raw = np.where(np.isfinite(raw), np.minimum(raw, fmt.max_raw - 1), fmt.max_raw)
+    return raw.astype(np.int64)
+
+
+def _no_support(var: str) -> NoSupportError:
+    return NoSupportError(f"variable {var!r}: conditional has no support", variable=var)
+
+
+def _requantize(kernel):
+    """Bring a kernel's rows to its recorded temperature."""
+    for p in kernel.parts:
+        p.quantize(kernel.fmt, kernel.temperature)
+    kernel._stale = False
+
+
 class _FactorPart:
     """One factor's contribution to a variable's conditional, precompiled."""
 
@@ -65,20 +108,13 @@ class _FactorPart:
             acc *= size
         self.strides = tuple(reversed(strides))
         self.float_rows = energy.reshape(-1)
-        self.rows = None  # set by set_temperature
+        self.rows = None  # set by quantize
 
     def quantize(self, fmt: EnergyFormat | None, temperature: float):
-        # the sentinel is reserved for true zero weights; finite energies
-        # clamp to the largest representable value so cooling never
-        # manufactures impossible states
-        scaled = self.float_rows / temperature
         if fmt is None:
-            self.rows = scaled.tolist()
+            self.rows = (self.float_rows / temperature).tolist()
         else:
-            raw = np.rint(scaled * (1 << fmt.frac))
-            raw = np.where(np.isfinite(raw),
-                           np.minimum(raw, fmt.max_raw - 1), fmt.max_raw)
-            self.rows = raw.astype(np.int64).tolist()
+            self.rows = _quantize_rows(self.float_rows, fmt, temperature).tolist()
 
     def base_offset(self, snapshot) -> int:
         base = 0
@@ -103,10 +139,11 @@ class GibbsKernel:
         self.set_temperature(1.0)
 
     def set_temperature(self, temperature: float):
+        """Record T; the rows are requantized before the next conditional."""
         if temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {temperature}")
-        for p in self.parts:
-            p.quantize(self.fmt, temperature)
+        self.temperature = temperature
+        self._stale = True
 
     def conditional_energies(self, snapshot):
         """Raw (fixed-point) or float energies of each candidate value.
@@ -116,6 +153,8 @@ class GibbsKernel:
         only then clamp back into the representable range; values still
         beyond range after renormalization saturate to "impossible".
         """
+        if self._stale:
+            _requantize(self)
         k = self.arity
         if self.fmt is None:
             energies = [0.0] * k
@@ -152,9 +191,7 @@ class GibbsKernel:
                 return invert_cdf(weights, stream.next_unit() * sum(weights))
             weights = integer_weights(energies, self.fmt)
         except NoSupportError:
-            raise NoSupportError(
-                f"variable {self.var!r}: conditional has no support", variable=self.var
-            ) from None
+            raise _no_support(self.var) from None
         return invert_cdf(weights, stream.next_below(sum(weights)))
 
 
@@ -185,13 +222,16 @@ class MhKernel:
         self.set_temperature(1.0)
 
     def set_temperature(self, temperature: float):
+        """Record T; the rows are requantized before the next energy read."""
         if temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {temperature}")
-        for p in self.parts:
-            p.quantize(self.fmt, temperature)
+        self.temperature = temperature
+        self._stale = True
 
     def _energy_of(self, value: int, snapshot):
         """Wide-accumulator energy sum; None marks a zero-weight value."""
+        if self._stale:
+            _requantize(self)
         if self.fmt is None:
             total = 0.0
             for p in self.parts:
@@ -289,6 +329,7 @@ class TransitionAssembly:
             self.state[name] = value
         self.meta = dict(meta or {})
         self._validated = False
+        self._lanes = None  # {group index: _LaneGroup}, lowered on first run
 
     def _check_value(self, name, value):
         if name not in self.circuits:
@@ -306,19 +347,31 @@ class TransitionAssembly:
         self.clamped.pop(name, None)
 
     def set_temperature(self, temperature: float):
+        """Record T on every kernel; requantizing waits for the next run."""
+        if temperature <= 0:
+            raise ConfigError(f"temperature must be positive, got {temperature}")
         for circ in self.circuits.values():
             circ.kernel.set_temperature(temperature)
 
 
 def validate_schedule(assembly: TransitionAssembly):
-    """Return every same-group adjacent pair as (var_a, var_b, group_index)."""
-    violations = []
+    """Return every same-group adjacent pair as (var_a, var_b, group_index).
+
+    Pairs come in schedule order: by group, then by the positions of the
+    two names within it.
+    """
+    where: dict[str, list[tuple[int, int]]] = {}
     for gi, group in enumerate(assembly.schedule):
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                if tuple(sorted((a, b))) in assembly.edges:
-                    violations.append((a, b, gi))
-    return violations
+        for pos, name in enumerate(group):
+            where.setdefault(name, []).append((gi, pos))
+    found = set()
+    for a, b in assembly.edges:
+        for ga, pa in where.get(a, ()):
+            for gb, pb in where.get(b, ()):
+                if ga == gb and pa != pb:
+                    found.add((ga, min(pa, pb), max(pa, pb)))
+    return [(assembly.schedule[gi][i], assembly.schedule[gi][j], gi)
+            for gi, i, j in sorted(found)]
 
 
 @dataclass
@@ -361,8 +414,193 @@ def _apply_fault(value: int, circuit: TransitionCircuit, rate: float) -> int:
     return value
 
 
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """int.bit_length of every entry of a nonnegative int64 array, exactly."""
+    n = np.zeros_like(v)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = v >> shift
+        big = high > 0
+        n += big * shift
+        v = np.where(big, high, v)
+    return n + v
+
+
+class _LaneGroup:
+    """A schedule group of fixed-point Gibbs circuits lowered to index arrays.
+
+    Member m's energy for candidate v is the sum over its parts p of
+    table[offset[m, p] + sum_t value(reads[nbr[m, p, t]]) * stride[m, p, t] + v],
+    exactly the scalar kernel's part sum. The table holds every distinct
+    specialized row block of the group once, as float energies, followed by a
+    zero block that padding parts read; candidates past a member's arity are
+    masked to the sentinel.
+    """
+
+    def __init__(self, names, circuits):
+        kernels = [circuits[n].kernel for n in names]
+        self.names = list(names)
+        self.kernels = kernels
+        self.streams = [circuits[n].stream for n in names]
+        self.fmt = kernels[0].fmt
+        k = max(kern.arity for kern in kernels)
+        n_parts = max(1, max(len(kern.parts) for kern in kernels))
+        width = max((len(p.neighbors) for kern in kernels for p in kern.parts), default=0)
+        shape = (len(names), n_parts, width)
+        self.nbr = np.zeros(shape, np.int64)
+        self.stride = np.zeros(shape, np.int64)
+        self.offset = np.full(shape[:2], -1, np.int64)
+        self.reads: list[str] = []
+        read_at: dict[str, int] = {}
+        blocks: list[np.ndarray] = []
+        block_at: dict[bytes, int] = {}
+        size = 0
+        for m, kern in enumerate(kernels):
+            for j, part in enumerate(kern.parts):
+                key = part.float_rows.tobytes()
+                if key not in block_at:
+                    block_at[key] = size
+                    blocks.append(part.float_rows)
+                    size += part.float_rows.size
+                self.offset[m, j] = block_at[key]
+                for t, (name, stride) in enumerate(zip(part.neighbors, part.strides)):
+                    if name not in read_at:
+                        read_at[name] = len(self.reads)
+                        self.reads.append(name)
+                    self.nbr[m, j, t] = read_at[name]
+                    self.stride[m, j, t] = stride
+        self.offset[self.offset < 0] = size
+        blocks.append(np.zeros(k))
+        self.float_table = np.concatenate(blocks)
+        self.candidates = np.arange(k)
+        self.pad = self.candidates >= np.array([[kern.arity] for kern in kernels])
+        self.multipliers = np.asarray(_multiplier_table(self.fmt.frac)[0], np.int64)
+        self.temperature = None
+        self.table = None
+
+    def bind(self, live: list[int], temperature: float) -> "_Lanes":
+        """The live members as lanes for one run, the table at temperature."""
+        if temperature != self.temperature:
+            self.table = _quantize_rows(self.float_table, self.fmt, temperature)
+            self.temperature = temperature
+        return _Lanes(self, live)
+
+
+class _Lanes:
+    """A lane group's live circuits during one run.
+
+    Each circuit's stream is one uint64 lane; store() writes the lanes back
+    into the streams.
+    """
+
+    def __init__(self, group: _LaneGroup, live: list[int]):
+        self.group = group
+        self.names = [group.names[i] for i in live]
+        self.streams = [group.streams[i] for i in live]
+        self.nbr = group.nbr[live]
+        self.stride = group.stride[live]
+        self.offset = group.offset[live]
+        self.pad = group.pad[live]
+        self.lanes = np.array([s.state for s in self.streams], np.uint64)
+        self.draws = np.zeros(len(live), np.int64)
+
+    def store(self):
+        for stream, state, draws in zip(self.streams, self.lanes.tolist(),
+                                        self.draws.tolist()):
+            stream.state = state
+            stream.draws_consumed += draws
+
+    def _below(self, bound: np.ndarray) -> np.ndarray:
+        """EntropyStream.next_below(bound) on the first len(bound) lanes.
+
+        Every bound is at least 2^16 (the weight of the minimum-energy
+        candidate) and at most 2^62, so no lane takes next_below's bound-1
+        shortcut and each rejection attempt is one 64-bit word.
+        """
+        shift = (64 - _bit_length(bound - 1)).astype(np.uint64)
+        out = np.empty(bound.size, np.int64)
+        pending = np.arange(bound.size)
+        while pending.size:
+            x = self.lanes[pending]
+            x ^= x << 13
+            x ^= x >> 7
+            x ^= x << 17
+            self.lanes[pending] = x
+            self.draws[pending] += 1
+            v = (x >> shift[pending]).astype(np.int64)
+            ok = v < bound[pending]
+            out[pending[ok]] = v[ok]
+            pending = pending[~ok]
+        return out
+
+    def step(self, state: dict):
+        """GibbsKernel.step for every lane, all reading the group-start state."""
+        group = self.group
+        fmt = group.fmt
+        sat = fmt.max_raw
+        values = np.fromiter(map(state.__getitem__, group.reads), np.int64,
+                             len(group.reads))
+        base = self.offset + (values[self.nbr] * self.stride).sum(axis=2)
+        raw = group.table[base[:, :, None] + group.candidates]
+        dead = (raw == sat).any(axis=1) | self.pad
+        sums = raw.sum(axis=1)
+        emin = np.where(dead, np.iinfo(np.int64).max, sums).min(axis=1, keepdims=True)
+        energy = np.clip(sums - emin, 0, sat - 1)
+        weights = np.where(
+            dead, 0,
+            group.multipliers[energy & ((1 << fmt.frac) - 1)]
+            << ((sat >> fmt.frac) - (energy >> fmt.frac)))
+        # the scalar path updates circuits in order and stops at the first
+        # conditional without support
+        empty = dead.all(axis=1)
+        stop = int(empty.argmax()) if empty.any() else len(self.names)
+        cdf = np.cumsum(weights[:stop], axis=1)
+        u = self._below(cdf[:, -1])
+        drawn = np.argmax(u[:, None] < cdf, axis=1)
+        state.update(zip(self.names, drawn.tolist()))
+        if stop < len(self.names):
+            raise _no_support(self.names[stop])
+
+
+def _lower(assembly: TransitionAssembly) -> dict:
+    """{group index: _LaneGroup} for each group the lane kernel can take.
+
+    A group qualifies when it has at least LANE_MIN_WIDTH circuits, all
+    fixed-point Gibbs kernels of one format whose integer weights fit
+    LANE_WEIGHT_BITS, and no name appears twice in the schedule.
+    """
+    names = [n for group in assembly.schedule for n in group]
+    if len(set(names)) != len(names):
+        return {}
+    lowered = {}
+    for gi, group in enumerate(assembly.schedule):
+        if len(group) < LANE_MIN_WIDTH:
+            continue
+        kernels = [assembly.circuits[n].kernel for n in group]
+        fmt = kernels[0].fmt
+        if fmt is None or any(type(k) is not GibbsKernel or k.fmt != fmt for k in kernels):
+            continue
+        k = max(kern.arity for kern in kernels)
+        if (fmt.max_raw >> fmt.frac) + MULTIPLIER_BITS + (k - 1).bit_length() > LANE_WEIGHT_BITS:
+            continue
+        lowered[gi] = _LaneGroup(group, assembly.circuits)
+    return lowered
+
+
+def _bind_lanes(assembly: TransitionAssembly) -> dict:
+    """{group index: _Lanes} for the lowered groups wide enough this run."""
+    if assembly._lanes is None:
+        assembly._lanes = _lower(assembly)
+    bound = {}
+    for gi, group in assembly._lanes.items():
+        live = [i for i, n in enumerate(group.names) if n not in assembly.clamped]
+        temperatures = {group.kernels[i].temperature for i in live}
+        if len(live) >= LANE_MIN_WIDTH and len(temperatures) == 1:
+            bound[gi] = group.bind(live, temperatures.pop())
+    return bound
+
+
 def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
-           thin: int, update):
+           thin: int, update, lanes: bool = False):
     """The sweep loop shared by every realization of the transitions.
 
     update(name, snapshot, epoch) returns the circuit's next value. Within a
@@ -370,6 +608,10 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
     random-scan mode each draw reads the live state. An epoch is one
     schedule group or one random-scan draw. A row is recorded after each
     retained sweep. Returns (var_names, rows, burn_in, epochs).
+
+    With lanes set (update must then be the kernel's own step), each
+    lowered group with at least LANE_MIN_WIDTH live circuits runs as one
+    lane step instead of through update; random-scan never does.
     """
     if sweeps < 1:
         raise ConfigError(f"need at least one sweep, got {sweeps}")
@@ -395,24 +637,32 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
     epoch = 0
     scan = assembly.scan_stream
     unclamped = [n for n in var_names if n not in assembly.clamped]
-    for sweep in range(burn_in + sweeps):
-        if scan is not None and unclamped:
-            # mixture kernel: one sweep = |unclamped| uniformly drawn
-            # singleton updates
-            for _ in range(len(unclamped)):
-                name = unclamped[scan.next_below(len(unclamped))]
-                state[name] = update(name, state, epoch)
-                epoch += 1
-        else:
-            for group in assembly.schedule:
-                live = [n for n in group if n not in assembly.clamped]
-                if live:
-                    snapshot = dict(state)
-                    for name in live:
-                        state[name] = update(name, snapshot, epoch)
-                epoch += 1
-        if sweep >= burn_in and (sweep - burn_in) % thin == 0:
-            rows.append(tuple(state[n] for n in var_names))
+    groups = [[n for n in group if n not in assembly.clamped]
+              for group in assembly.schedule]
+    bound = _bind_lanes(assembly) if lanes and scan is None else {}
+    try:
+        for sweep in range(burn_in + sweeps):
+            if scan is not None and unclamped:
+                # mixture kernel: one sweep = |unclamped| uniformly drawn
+                # singleton updates
+                for _ in range(len(unclamped)):
+                    name = unclamped[scan.next_below(len(unclamped))]
+                    state[name] = update(name, state, epoch)
+                    epoch += 1
+            else:
+                for gi, live in enumerate(groups):
+                    if gi in bound:
+                        bound[gi].step(state)
+                    elif live:
+                        snapshot = dict(state)
+                        for name in live:
+                            state[name] = update(name, snapshot, epoch)
+                    epoch += 1
+            if sweep >= burn_in and (sweep - burn_in) % thin == 0:
+                rows.append(tuple(state[n] for n in var_names))
+    finally:
+        for lane_group in bound.values():
+            lane_group.store()
     return var_names, rows, burn_in, epoch
 
 
@@ -436,7 +686,8 @@ def run(assembly: TransitionAssembly, sweeps: int, burn_in: int | None = None,
             value = _apply_fault(value, circ, rate)
         return value
 
-    var_names, rows, burn_in, _ = _sweep(assembly, sweeps, burn_in, thin, update)
+    var_names, rows, burn_in, _ = _sweep(assembly, sweeps, burn_in, thin, update,
+                                         lanes=rate == 0.0)
     meta = {
         "sweeps": sweeps,
         "burn_in": burn_in,

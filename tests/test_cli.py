@@ -303,3 +303,51 @@ def test_threads_help_says_serial_and_result_independent(runner):
     text = " ".join(runner.invoke(main, ["--help"]).output.split())
     assert "updates run serially" in text
     assert "never changes results" in text
+
+
+@pytest.mark.parametrize("text", [
+    '{"variables": [{"name": "X", "arity": 2}], '
+    '"factors": [{"name": "f", "vars": ["X"], "table": [NaN, 1]}]}',
+    '{"variables": [{"name": "X", "arity": 2}], '
+    '"factors": [{"name": "f", "vars": ["X"], "table": [1, Infinity]}]}',
+    '{"variables": [{"name": "X", "arity": 2}], '
+    '"factors": [{"name": "f", "vars": ["X"], "table": [-Infinity, 1]}]}',
+])
+def test_non_finite_weight_is_a_model_error(runner, tmp_path, text):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    result = runner.invoke(main, ["fg", "validate", str(model)])
+    assert result.exit_code == 3, result.output
+    assert "non-finite" in result.output
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "query", str(model),
+                                  "--sweeps", "10"])
+    assert result.exit_code == 3, result.output
+
+
+@pytest.mark.parametrize("entry", ['{"arity": 2}', '{"name": "X"}', '"X"',
+                                   '{"name": "X", "arity": "two"}'])
+def test_variable_entry_without_name_or_arity_exit_3(runner, tmp_path, entry):
+    model = tmp_path / "model.json"
+    model.write_text('{"variables": [' + entry + '], "factors": []}')
+    result = runner.invoke(main, ["fg", "validate", str(model)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_factor_entry_without_table_exit_3(runner, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text('{"variables": [{"name": "X", "arity": 2}], '
+                     '"factors": [{"name": "f", "vars": ["X"]}]}')
+    result = runner.invoke(main, ["fg", "validate", str(model)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("rows", ["1 0 1\n1 0 x\n", "1 0 1\n1 0\n"])
+def test_dpmm_data_with_non_integer_entry_exit_6(runner, tmp_path, rows):
+    data = tmp_path / "data.txt"
+    data.write_text(rows)
+    result = runner.invoke(main, ["--out-dir", str(tmp_path / "out"), "dpmm", "run",
+                                  str(data), "--sweeps", "2", "--burn-in", "0"])
+    assert result.exit_code == 6, result.output
+    assert isinstance(result.exception, SystemExit)

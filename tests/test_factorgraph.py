@@ -18,6 +18,7 @@ from stochcirc.errors import (
 from stochcirc.factorgraph import (
     BayesNet,
     BayesNode,
+    Factor,
     FactorGraph,
     Variable,
     enumerate_joint,
@@ -190,3 +191,22 @@ def test_icu_fixture_parses_and_enumerates():
     assert len(g.variables) == 8
     joint = enumerate_joint(g)
     assert abs(joint.sum() - 1.0) < 1e-12
+
+
+def test_factors_touching_keeps_declaration_order():
+    variables = [Variable(n, 2) for n in "XYZ"]
+    factors = [Factor("yz", ["Y", "Z"], np.ones((2, 2)), [2, 2]),
+               Factor("x", ["X"], [1, 2], [2]),
+               Factor("zx", ["Z", "X"], np.ones((2, 2)), [2, 2]),
+               Factor("y", ["Y"], [2, 1], [2])]
+    graph = FactorGraph(variables, factors)
+    for name in "XYZ":
+        expected = [f.name for f in factors if name in f.vars]
+        assert [f.name for f in graph.factors_touching(name)] == expected
+    assert graph.factors_touching("W") == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_factor_rejects_non_finite_weights(bad):
+    with pytest.raises(GraphError, match="non-finite"):
+        Factor("f", ["X"], [1.0, bad], [2])

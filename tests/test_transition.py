@@ -216,6 +216,24 @@ def test_triangle_single_group_three_violations():
         run(asm, 10)
 
 
+def test_validate_schedule_matches_pairwise_probe_order():
+    # the index-based check returns what probing every same-group pair in
+    # order returns, including names repeated within and across groups
+    rng = np.random.default_rng(7)
+    names = [f"v{i}" for i in range(12)]
+    for _ in range(50):
+        asm = compile_graph(fork_graph())
+        asm.edges = {tuple(sorted(rng.choice(names, 2, replace=False)))
+                     for _ in range(15)}
+        asm.edges.add(("v3", "v3"))
+        asm.schedule = [list(rng.choice(names, int(rng.integers(1, 7))))
+                        for _ in range(4)]
+        expected = [(a, b, gi) for gi, group in enumerate(asm.schedule)
+                    for i, a in enumerate(group) for b in group[i + 1:]
+                    if tuple(sorted((a, b))) in asm.edges]
+        assert validate_schedule(asm) == expected
+
+
 def test_fault_rate_zero_is_bit_identical():
     graph = fork_graph()
     base = run(compile_graph(graph, seed=30), 5000)
