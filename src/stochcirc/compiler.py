@@ -75,13 +75,14 @@ def compile(graph: FactorGraph, kernel: str = "gibbs",
     master = EntropyStream(seed)
     names = sorted(graph.var_names)
     circuits = []
+    tables = {}  # specialized row blocks shared across this assembly's kernels
     for idx, name in enumerate(names):
         touching = graph.factors_touching(name)
         arity = graph.arity[name]
         if kernel == "gibbs":
-            k = GibbsKernel(name, arity, touching, fmt)
+            k = GibbsKernel(name, arity, touching, fmt, tables=tables)
         else:
-            k = MhKernel(name, arity, touching, fmt)
+            k = MhKernel(name, arity, touching, fmt, tables=tables)
         circuits.append(TransitionCircuit(name, arity, k, master.fork(idx)))
     edges = graph.interaction_edges()
     coloring = color_interaction_graph(graph.var_names, edges)

@@ -15,6 +15,7 @@ oracle for every sampler in the package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,14 +53,14 @@ class Factor:
             flat = np.asarray(table, dtype=float).reshape(-1)
         except (TypeError, ValueError):
             raise GraphError(f"factor {name!r}: table entries must be numbers") from None
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if flat.size != expected:
             raise TableLengthError(
                 f"factor {name!r}: table has {flat.size} entries, expected {expected}"
             )
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             raise GraphError(f"factor {name!r}: non-finite weight in table")
-        if np.any(flat < 0):
+        if (flat < 0).any():
             raise NegativeWeightError(f"factor {name!r}: negative weight in table")
         self.table = flat.reshape(shape)
 
@@ -83,6 +84,12 @@ class FactorGraph:
                     raise UnknownVariableError(
                         f"factor {f.name!r} references unknown variable {vn!r}"
                     )
+            declared = tuple(self.arity[vn] for vn in f.vars)
+            if f.table.shape != declared:
+                raise TableLengthError(
+                    f"factor {f.name!r}: table shape {f.table.shape} does not match "
+                    f"the declared arities {declared}"
+                )
         self.factors: list[Factor] = list(factors)
         self._touching: dict[str, list[Factor]] = {n: [] for n in self.arity}
         for f in self.factors:

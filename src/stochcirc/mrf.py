@@ -125,6 +125,12 @@ class LatticeMRF:
         pad = len(str(max(self.height, self.width) - 1))
         return f"x_{i:0{pad}d}_{j:0{pad}d}"
 
+    def site_names(self) -> list[list[str]]:
+        """site_name(i, j) for every site, as rows of the lattice."""
+        pad = len(str(max(self.height, self.width) - 1))
+        return [[f"x_{i:0{pad}d}_{j:0{pad}d}" for j in range(self.width)]
+                for i in range(self.height)]
+
     def smoothness_table(self) -> np.ndarray:
         d = self.labels
         a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
@@ -133,25 +139,20 @@ class LatticeMRF:
     def to_factor_graph(self) -> FactorGraph:
         """Unary evidence factors plus shared pairwise smoothness tables."""
         d = self.labels
-        variables = [
-            Variable(self.site_name(i, j), d)
-            for i in range(self.height) for j in range(self.width)
-        ]
+        names = self.site_names()
+        variables = [Variable(name, d) for row in names for name in row]
         factors = []
         pair_table = self.smoothness_table()
-        for i in range(self.height):
-            for j in range(self.width):
-                name = self.site_name(i, j)
-                factors.append(Factor(
-                    f"ev_{name}", [name], np.exp2(-self.evidence[i, j]), [d]))
+        unary = np.exp2(-self.evidence)
+        for i, row in enumerate(names):
+            for j, name in enumerate(row):
+                factors.append(Factor(f"ev_{name}", [name], unary[i, j], [d]))
                 if j + 1 < self.width:
                     factors.append(Factor(
-                        f"sm_{name}_e", [name, self.site_name(i, j + 1)],
-                        pair_table, [d, d]))
+                        f"sm_{name}_e", [name, row[j + 1]], pair_table, [d, d]))
                 if i + 1 < self.height:
                     factors.append(Factor(
-                        f"sm_{name}_s", [name, self.site_name(i + 1, j)],
-                        pair_table, [d, d]))
+                        f"sm_{name}_s", [name, names[i + 1][j]], pair_table, [d, d]))
         return FactorGraph(variables, factors)
 
     def total_energy(self, labels: np.ndarray) -> float:
@@ -196,8 +197,7 @@ def solve(mrf: LatticeMRF, sweeps: int, seed: int = 0,
     # trace rows list the variables in sorted name order
     var_names = sorted(assembly.circuits)
     column = {name: k for k, name in enumerate(var_names)}
-    grid = np.array([[column[mrf.site_name(i, j)] for j in range(mrf.width)]
-                     for i in range(mrf.height)])
+    grid = np.array([[column[name] for name in row] for row in mrf.site_names()])
 
     trace_energy = []
     if anneal is None:

@@ -12,7 +12,9 @@ specialized at build time: its table is reorganized so the variable's axis
 is last and every row (one per neighbor configuration) is renormalized to
 min zero, which keeps fixed-point sums well inside the representable range
 without changing any conditional distribution. Zero weights are saturated
-("impossible") and additions clamp into the saturation sentinel.
+("impossible") and additions clamp into the saturation sentinel. Kernels
+built with one tables mapping specialize each distinct (table, axis) once
+and share its read-only row block.
 
 A wide group of fixed-point Gibbs circuits runs as lanes: one numpy step
 updates every live circuit of the group, with each circuit's xorshift
@@ -92,22 +94,30 @@ def _requantize(kernel):
 
 
 class _FactorPart:
-    """One factor's contribution to a variable's conditional, precompiled."""
+    """One factor's contribution to a variable's conditional, precompiled.
+
+    The (arity, strides, float_rows) of a specialized table depend only on
+    the table and the variable's axis, so parts built with the same tables
+    mapping share one read-only row block per distinct (table, axis).
+    """
 
     __slots__ = ("neighbors", "strides", "float_rows", "rows", "arity")
 
-    def __init__(self, factor: Factor, var: str):
-        neighbors, energy, arity = _specialized_energy_table(factor, var)
-        self.neighbors = neighbors
-        self.arity = arity
-        shape = energy.shape[:-1]
-        strides = []
-        acc = arity
-        for size in reversed(shape):
-            strides.append(acc)
-            acc *= size
-        self.strides = tuple(reversed(strides))
-        self.float_rows = energy.reshape(-1)
+    def __init__(self, factor: Factor, var: str, tables: dict):
+        key = (factor.table.tobytes(), factor.table.shape, factor.vars.index(var))
+        entry = tables.get(key)
+        if entry is None:
+            _, energy, arity = _specialized_energy_table(factor, var)
+            strides = []
+            acc = arity
+            for size in reversed(energy.shape[:-1]):
+                strides.append(acc)
+                acc *= size
+            float_rows = energy.reshape(-1)
+            float_rows.flags.writeable = False
+            entry = tables[key] = (arity, tuple(reversed(strides)), float_rows)
+        self.neighbors = tuple(v for v in factor.vars if v != var)
+        self.arity, self.strides, self.float_rows = entry
         self.rows = None  # set by quantize
 
     def quantize(self, fmt: EnergyFormat | None, temperature: float):
@@ -126,13 +136,15 @@ class _FactorPart:
 class GibbsKernel:
     """Samples the variable's full conditional given its neighbors."""
 
-    def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None):
+    def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
+                 tables: dict | None = None):
         if arity < 1:
             raise ConfigError(f"variable {var!r} has arity {arity}")
         self.var = var
         self.arity = arity
         self.fmt = fmt
-        self.parts = [_FactorPart(f, var) for f in factors]
+        tables = {} if tables is None else tables
+        self.parts = [_FactorPart(f, var, tables) for f in factors]
         for p in self.parts:
             if p.arity != arity:
                 raise ConfigError(f"factor table arity mismatch on {var!r}")
@@ -203,7 +215,7 @@ class MhKernel:
     """
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
-                 proposal=None):
+                 proposal=None, tables: dict | None = None):
         self.var = var
         self.arity = arity
         self.fmt = fmt
@@ -218,7 +230,8 @@ class MhKernel:
             self._prop_cdf = np.cumsum(proposal / proposal.sum(axis=1, keepdims=True), axis=1)
         else:
             self._prop_cdf = None
-        self.parts = [_FactorPart(f, var) for f in factors]
+        tables = {} if tables is None else tables
+        self.parts = [_FactorPart(f, var, tables) for f in factors]
         self.set_temperature(1.0)
 
     def set_temperature(self, temperature: float):
@@ -322,7 +335,9 @@ class TransitionAssembly:
         self.clamped: dict[str, int] = dict(clamped or {})
         self.scan_stream = scan_stream
         self.state: dict[str, int] = dict(state or {})
-        for name, circ in self.circuits.items():
+        for name, value in self.state.items():
+            self._check_value(name, value)
+        for name in self.circuits:
             self.state.setdefault(name, 0)
         for name, value in self.clamped.items():
             self._check_value(name, value)

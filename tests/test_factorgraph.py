@@ -5,6 +5,7 @@ import pytest
 
 from oracles import fork_graph, joint_by_enumeration
 from stochcirc import fixture_text
+from stochcirc.compiler import compile as compile_graph
 from stochcirc.errors import (
     AcyclicityError,
     DuplicateNameError,
@@ -45,6 +46,14 @@ def test_wrong_table_length_names_factor():
            "factors": [{"name": "bad", "vars": ["X"], "table": [1, 2, 3]}]}
     with pytest.raises(TableLengthError, match="bad"):
         parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kernel", ["gibbs", "mh"])
+def test_table_shape_must_match_declared_arities(kernel):
+    variables = [Variable("A", 2), Variable("B", 3)]
+    factor = Factor("f", ["A", "B"], [1.0, 2.0, 3.0, 4.0], [2, 2])
+    with pytest.raises(TableLengthError, match="'f'"):
+        compile_graph(FactorGraph(variables, [factor]), kernel)
 
 
 def test_unknown_variable_error():

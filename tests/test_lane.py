@@ -159,7 +159,9 @@ def test_error_message_names_the_first_empty_lane(monkeypatch):
     asm = compile_graph(graph, seed=15)
     group = asm.schedule[0]
     for name in (group[3], group[9]):
-        asm.circuits[name].kernel.parts[0].float_rows[:] = np.inf
+        # a fresh block: the compiled one is shared with other sites
+        part = asm.circuits[name].kernel.parts[0]
+        part.float_rows = np.full_like(part.float_rows, np.inf)
     with pytest.raises(NoSupportError) as err:
         run(asm, 1, burn_in=0)
     assert err.value.variable == group[3]

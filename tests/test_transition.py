@@ -4,7 +4,7 @@ import pytest
 from oracles import conditional_by_enumeration, fork_graph
 from stochcirc.compiler import compile as compile_graph, fault_kl_report
 from stochcirc.entropy import EntropyStream
-from stochcirc.errors import ConfigError, NoSupportError, ScheduleViolationError
+from stochcirc.errors import ConfigError, DomainError, NoSupportError, ScheduleViolationError
 from stochcirc.factorgraph import Factor, FactorGraph, Variable, enumerate_joint
 from stochcirc.lowprec import DEFAULT_FORMAT, total_variation
 from stochcirc.transition import (
@@ -304,3 +304,12 @@ def test_set_temperature_rejects_nonpositive(kernel, temperature):
     asm = compile_graph(fork_graph(), kernel=kernel, seed=23)
     with pytest.raises(ConfigError):
         asm.set_temperature(temperature)
+
+
+@pytest.mark.parametrize("state", [{"B": 5}, {"C": -1}, {"Z": 0}],
+                         ids=["above-domain", "negative", "unknown-name"])
+def test_initial_state_is_checked_against_the_domains(state):
+    asm = compile_graph(fork_graph(), seed=42)
+    with pytest.raises(DomainError):
+        TransitionAssembly(list(asm.circuits.values()), asm.edges, asm.schedule,
+                           state=state)
