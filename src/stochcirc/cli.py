@@ -4,9 +4,16 @@ Artifacts are deterministic: identical command, seed, and inputs produce
 byte-identical files. Updates run serially in one thread; wide fixed-point
 Gibbs color classes run as numpy lanes that stay bit-identical to
 per-circuit updates. --threads is accepted and validated but never changes
-results. Each subcommand writes
-a metadata JSON (command, seed, parameters, package version) next to its
-outputs; no timestamps anywhere.
+results.
+
+The global options are parsed once, before any subcommand runs, so a
+malformed --format or a --fault-rate outside [0, 1] exits 6 whatever the
+subcommand. Every subcommand hands its artifacts to one writer, _emit,
+which writes them in order, echoes "wrote <path>" for each, and then
+writes <name>_meta.json (command, seed, parameters, package version). The
+command is the invoked subcommand path ("dpmm run"), and <name> is that
+path with spaces and dashes turned into underscores ("dpmm_run"). No
+timestamps anywhere.
 
 Exit codes:
     0 success
@@ -20,6 +27,7 @@ Exit codes:
 from __future__ import annotations
 
 import json
+import pathlib
 import sys
 
 import click
@@ -35,12 +43,11 @@ from .compiler import (
     query as run_query,
 )
 from .dpmm import (
-    DPMM_FORMAT,
     DpmmState,
-    _draw_assignment,
     cluster_summaries,
     gibbs_sweep,
     read_idx_images,
+    stream_datum,
 )
 from .entropy import DEFAULT_SEED, EntropyStream
 from .errors import (
@@ -115,15 +122,33 @@ def _parse_format(text: str | None):
         raise ConfigError(f"format must be 'b,f' or 'float', got {text!r}") from None
 
 
-def _write(path, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write(path, content):
+    """Text as UTF-8, an array as PGM; echoes the path."""
+    if isinstance(content, str):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+    else:
+        write_pgm(path, content)
     click.echo(f"wrote {path}")
 
 
-def _write_meta(out_dir, name, command, seed, params):
-    doc = {"command": command, "seed": seed, "version": __version__, "params": params}
-    _write(out_dir / f"{name}_meta.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _emit(ctx, files, params):
+    """Write each (file name, content) in order, then <name>_meta.json.
+
+    The metadata names the invoked subcommand path, walked up from ctx.
+    """
+    names, node = [], ctx
+    while node.parent is not None:
+        names.insert(0, node.command.name)
+        node = node.parent
+    command = " ".join(names)
+    out = ctx.obj["out_dir"]
+    for name, content in files:
+        _write(out / name, content)
+    doc = {"command": command, "seed": ctx.obj["seed"], "version": __version__,
+           "params": params}
+    meta_name = command.replace(" ", "_").replace("-", "_")
+    _write(out / f"{meta_name}_meta.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graph(model, evidence):
@@ -135,6 +160,13 @@ def _load_graph(model, evidence):
         graph.evidence[name] = _number(value, int, f"evidence value for {name!r}")
     # revalidate evidence names/ranges
     return type(graph)(graph.variables, graph.factors, graph.evidence)
+
+
+def _compiled(ctx, model, evidence, kernel="gibbs"):
+    """(graph, assembly) for a model file with --evidence clamps applied."""
+    graph = _load_graph(model, evidence)
+    return graph, compile_graph(graph, kernel=kernel, fmt=ctx.obj["fmt"],
+                                schedule=ctx.obj["schedule"], seed=ctx.obj["seed"])
 
 
 @click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
@@ -157,17 +189,11 @@ def _load_graph(model, evidence):
 @click.pass_context
 def main(ctx, seed, out_dir, fmt, schedule, fault_rate, threads):
     """Stochastic digital circuits for sampling-based Bayesian inference."""
-    import pathlib
-
     ctx.ensure_object(dict)
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ctx.obj.update(seed=seed, out_dir=out, fmt_text=fmt, schedule=schedule,
-                   fault_rate=fault_rate)
-
-
-def _ctx_format(ctx):
-    return _parse_format(ctx.obj["fmt_text"])
+    ctx.obj.update(seed=seed, fmt=_parse_format(fmt), schedule=schedule,
+                   fault=FaultModel(fault_rate) if fault_rate != 0 else None,
+                   out_dir=pathlib.Path(out_dir))
+    ctx.obj["out_dir"].mkdir(parents=True, exist_ok=True)
 
 
 @main.group()
@@ -192,10 +218,8 @@ def gate_sample(ctx, cpt_path, input_word, draws):
     lines = ["value,count,frequency"]
     for v, c in enumerate(counts):
         lines.append(f"{v},{int(c)},{float(c / draws)!r}")
-    out = ctx.obj["out_dir"]
-    _write(out / "gate_sample.csv", "\n".join(lines) + "\n")
-    _write_meta(out, "gate_sample", "gate sample", ctx.obj["seed"],
-                {"cpt": str(cpt_path), "input": input_word, "n": draws})
+    _emit(ctx, [("gate_sample.csv", "\n".join(lines) + "\n")],
+          {"cpt": str(cpt_path), "input": input_word, "n": draws})
 
 
 @main.command("precision-sweep")
@@ -210,10 +234,8 @@ def precision_sweep_cmd(ctx, k, per_bin, bits):
     formats = [EnergyFormat(b, max(1, b // 2)) for b in bit_list]
     rows = precision_sweep(k=k, n_dists=per_bin, formats=formats,
                            seed=ctx.obj["seed"])
-    out = ctx.obj["out_dir"]
-    _write(out / "precision_sweep.csv", sweep_rows_to_csv(rows))
-    _write_meta(out, "precision_sweep", "precision-sweep", ctx.obj["seed"],
-                {"outcomes": k, "per_bin": per_bin, "bits": bits})
+    _emit(ctx, [("precision_sweep.csv", sweep_rows_to_csv(rows))],
+          {"outcomes": k, "per_bin": per_bin, "bits": bits})
 
 
 @main.group()
@@ -237,11 +259,7 @@ def fg_validate(model):
 @click.pass_context
 def compile_cmd(ctx, model, kernel, evidence):
     """Compile a factor graph and emit its coloring and schedule."""
-    graph = _load_graph(model, evidence)
-    fmt = _ctx_format(ctx)
-    schedule = ctx.obj["schedule"]
-    assembly = compile_graph(graph, kernel=kernel, fmt=fmt,
-                             schedule=schedule, seed=ctx.obj["seed"])
+    _, assembly = _compiled(ctx, model, evidence, kernel)
     doc = {
         "variables": {n: assembly.circuits[n].arity for n in sorted(assembly.circuits)},
         "coloring": assembly.meta["coloring"],
@@ -250,10 +268,8 @@ def compile_cmd(ctx, model, kernel, evidence):
         "kernel": kernel,
         "format": assembly.meta["format"],
     }
-    out = ctx.obj["out_dir"]
-    _write(out / "assembly.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_meta(out, "compile", "compile", ctx.obj["seed"],
-                {"model": str(model), "schedule": schedule, "kernel": kernel})
+    _emit(ctx, [("assembly.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")],
+          {"model": str(model), "schedule": ctx.obj["schedule"], "kernel": kernel})
 
 
 @main.command("query")
@@ -265,18 +281,12 @@ def compile_cmd(ctx, model, kernel, evidence):
 @click.pass_context
 def query_cmd(ctx, model, evidence, sweeps, burn_in, thin):
     """Marginals of every variable under the given evidence clamps."""
-    graph = _load_graph(model, evidence)
-    fmt = _ctx_format(ctx)
-    schedule = ctx.obj["schedule"]
-    assembly = compile_graph(graph, fmt=fmt, schedule=schedule,
-                             seed=ctx.obj["seed"])
+    graph, assembly = _compiled(ctx, model, evidence)
     estimates, _ = run_query(assembly, graph.var_names, sweeps,
                              burn_in=burn_in, thin=thin)
-    out = ctx.obj["out_dir"]
-    _write(out / "marginals.csv", marginals_to_csv(estimates))
-    _write_meta(out, "query", "query", ctx.obj["seed"],
-                {"model": str(model), "evidence": list(evidence),
-                 "sweeps": sweeps, "thin": thin, "schedule": schedule})
+    _emit(ctx, [("marginals.csv", marginals_to_csv(estimates))],
+          {"model": str(model), "evidence": list(evidence),
+           "sweeps": sweeps, "thin": thin, "schedule": ctx.obj["schedule"]})
 
 
 @main.command("run")
@@ -288,19 +298,11 @@ def query_cmd(ctx, model, evidence, sweeps, burn_in, thin):
 @click.pass_context
 def run_cmd(ctx, model, evidence, sweeps, burn_in, thin):
     """Run the compiled chain and emit the raw state trace."""
-    graph = _load_graph(model, evidence)
-    fmt = _ctx_format(ctx)
-    fault_rate = ctx.obj["fault_rate"]
-    assembly = compile_graph(graph, fmt=fmt, schedule=ctx.obj["schedule"],
-                             seed=ctx.obj["seed"])
-    fault = FaultModel(fault_rate) if fault_rate > 0 else None
+    _, assembly = _compiled(ctx, model, evidence)
     trace = run_assembly(assembly, sweeps, burn_in=burn_in, thin=thin,
-                         fault=fault)
-    out = ctx.obj["out_dir"]
-    _write(out / "trace.csv", trace.to_csv())
-    _write_meta(out, "run", "run", ctx.obj["seed"],
-                {"model": str(model), "evidence": list(evidence),
-                 **trace.meta})
+                         fault=ctx.obj["fault"])
+    _emit(ctx, [("trace.csv", trace.to_csv())],
+          {"model": str(model), "evidence": list(evidence), **trace.meta})
 
 
 @main.command("fault-report")
@@ -313,11 +315,9 @@ def fault_report_cmd(ctx, model, rates, sweeps):
     graph = _load_graph(model, ())
     rate_list = [_number(r, float, "--rates") for r in rates.split(",")]
     rows = fault_kl_report(graph, rate_list, sweeps=sweeps,
-                           seed=ctx.obj["seed"], fmt=_ctx_format(ctx))
-    out = ctx.obj["out_dir"]
-    _write(out / "fault_report.csv", fault_report_to_csv(rows))
-    _write_meta(out, "fault_report", "fault-report", ctx.obj["seed"],
-                {"model": str(model), "rates": rate_list, "sweeps": sweeps})
+                           seed=ctx.obj["seed"], fmt=ctx.obj["fmt"])
+    _emit(ctx, [("fault_report.csv", fault_report_to_csv(rows))],
+          {"model": str(model), "rates": rate_list, "sweeps": sweeps})
 
 
 def _matching_run(ctx, mode, first_path, second_path, d, sweeps, lam, tau, anneal):
@@ -326,15 +326,12 @@ def _matching_run(ctx, mode, first_path, second_path, d, sweeps, lam, tau, annea
     m = LatticeMRF(pair.first.shape[0], pair.first.shape[1], d, y, lam=lam, tau=tau)
     anneal_pair = None if anneal == "off" else tuple(_number(t, float, "--anneal")
                                                   for t in anneal.split(","))
-    result = solve(m, sweeps, seed=ctx.obj["seed"], fmt=_ctx_format(ctx),
+    result = solve(m, sweeps, seed=ctx.obj["seed"], fmt=ctx.obj["fmt"],
                    anneal=anneal_pair, schedule=ctx.obj["schedule"])
-    out = ctx.obj["out_dir"]
-    write_pgm(out / f"{mode}_labels.pgm", labels_to_gray(result.labels, d))
-    click.echo(f"wrote {out / f'{mode}_labels.pgm'}")
-    _write(out / f"{mode}_energy.csv", result.energy_csv())
-    _write_meta(out, mode, mode, ctx.obj["seed"],
-                {"first": str(first_path), "second": str(second_path),
-                 "candidates": d, **result.meta})
+    _emit(ctx, [(f"{mode}_labels.pgm", labels_to_gray(result.labels, d)),
+                (f"{mode}_energy.csv", result.energy_csv())],
+          {"first": str(first_path), "second": str(second_path),
+           "candidates": d, **result.meta})
 
 
 @main.command("stereo")
@@ -400,12 +397,19 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
             raise ShapeError(f"data file must be a 0/1 integer matrix: {exc}") from None
     if rows.size == 0:
         raise ShapeError("empty data file")
+    if image_shape:
+        h, _, w = image_shape.partition("x")
+        shape = (_number(h, int, "--image-shape"), _number(w, int, "--image-shape"))
+        if shape[0] * shape[1] != rows.shape[1]:
+            raise ShapeError(f"--image-shape {image_shape} does not hold "
+                             f"{rows.shape[1]} pixels")
+    else:
+        shape = (1, rows.shape[1])
     state = DpmmState(rows.shape[1], alpha=alpha, beta_on=beta_on,
                       beta_off=beta_off)
     stream = EntropyStream(ctx.obj["seed"])
     for datum in rows:
-        idx = state.add_datum(datum)
-        _draw_assignment(state, idx, stream, DPMM_FORMAT)
+        stream_datum(state, datum, 0, stream)
     count_hist = {}
     assign_lines = ["sweep," + ",".join(f"d{i}" for i in range(rows.shape[0]))]
     for sweep in range(burn_in + sweeps):
@@ -415,24 +419,14 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
             count_hist[k] = count_hist.get(k, 0) + 1
             assign_lines.append(
                 f"{sweep - burn_in}," + ",".join(str(a) for a in state.assignments))
-    out = ctx.obj["out_dir"]
-    _write(out / "assignments.csv", "\n".join(assign_lines) + "\n")
-    hist_lines = ["clusters,count"]
-    for k in sorted(count_hist):
-        hist_lines.append(f"{k},{count_hist[k]}")
-    _write(out / "cluster_counts.csv", "\n".join(hist_lines) + "\n")
-    if image_shape:
-        h, _, w = image_shape.partition("x")
-        shape = (_number(h, int, "--image-shape"), _number(w, int, "--image-shape"))
-    else:
-        shape = (1, rows.shape[1])
+    hist_lines = ["clusters,count"] + [f"{k},{count_hist[k]}" for k in sorted(count_hist)]
+    files = [("assignments.csv", "\n".join(assign_lines) + "\n"),
+             ("cluster_counts.csv", "\n".join(hist_lines) + "\n")]
     for rank, (count, probs) in enumerate(cluster_summaries(state)):
         img = np.clip(np.round(probs.reshape(shape) * 255), 0, 255)
-        write_pgm(out / f"cluster_{rank:02d}_n{count}.pgm", img)
-        click.echo(f"wrote {out / f'cluster_{rank:02d}_n{count}.pgm'}")
-    _write_meta(out, "dpmm_run", "dpmm run", ctx.obj["seed"],
-                {"data": str(data), "alpha": alpha, "beta_on": beta_on,
-                 "beta_off": beta_off, "sweeps": sweeps, "burn_in": burn_in})
+        files.append((f"cluster_{rank:02d}_n{count}.pgm", img))
+    _emit(ctx, files, {"data": str(data), "alpha": alpha, "beta_on": beta_on,
+                       "beta_off": beta_off, "sweeps": sweeps, "burn_in": burn_in})
 
 
 @main.group()
@@ -448,17 +442,10 @@ def spike():
 @click.pass_context
 def spike_run(ctx, model, evidence, sweeps, burn_in):
     """Simulate an assembly with exponential races and emit the raster."""
-    graph = _load_graph(model, evidence)
-    schedule = ctx.obj["schedule"]
-    assembly = compile_graph(graph, fmt=_ctx_format(ctx),
-                             schedule=schedule, seed=ctx.obj["seed"])
+    _, assembly = _compiled(ctx, model, evidence)
     raster, trace = simulate_spiking_assembly(assembly, sweeps, burn_in=burn_in)
-    out = ctx.obj["out_dir"]
-    _write(out / "raster.csv", raster.events_csv())
-    _write(out / "spike_trace.csv", trace.to_csv())
-    _write_meta(out, "spike_run", "spike run", ctx.obj["seed"],
-                {"model": str(model), "evidence": list(evidence),
-                 "sweeps": sweeps})
+    _emit(ctx, [("raster.csv", raster.events_csv()), ("spike_trace.csv", trace.to_csv())],
+          {"model": str(model), "evidence": list(evidence), "sweeps": sweeps})
 
 
 @main.command("selftest")
@@ -512,9 +499,7 @@ def selftest(ctx):
     check("lattice 2-coloring", max(coloring.values()) == 1)
     # dpmm single datum
     st = DpmmState(3)
-    stream = EntropyStream(seed + 3)
-    st.add_datum([1, 0, 1])
-    _draw_assignment(st, 0, stream, DPMM_FORMAT)
+    stream_datum(st, [1, 0, 1], 0, EntropyStream(seed + 3))
     check("dpmm single datum founds one cluster", len(st.clusters) == 1)
     if failures:
         click.echo(f"{len(failures)} selftest failure(s)", err=True)

@@ -74,9 +74,6 @@ class EntropyStream:
         self.draws_consumed += 1
         return x >> (64 - n)
 
-    def next_word(self) -> int:
-        return self.next_bits(64)
-
     def _next_wide(self, n: int) -> int:
         """n uniform bits for any n >= 1, stitched from 64-bit words."""
         out = 0

@@ -95,14 +95,17 @@ class FactorGraph:
         for f in self.factors:
             for vn in f.vars:
                 self._touching[vn].append(f)
-        self.evidence: dict[str, int] = dict(evidence or {})
-        for name, val in self.evidence.items():
+        self.evidence: dict[str, int] = {}
+        for name, val in dict(evidence or {}).items():
             if name not in self.arity:
                 raise UnknownVariableError(f"evidence on unknown variable {name!r}")
-            if not 0 <= int(val) <= self.arity[name] - 1:
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise GraphError(f"evidence value for {name!r} must be an integer, got {val!r}")
+            if not 0 <= val <= self.arity[name] - 1:
                 raise GraphError(
                     f"evidence value {val} outside domain of {name!r}"
                 )
+            self.evidence[name] = int(val)
 
     @property
     def var_names(self) -> list[str]:
@@ -163,7 +166,10 @@ def parse(text: str) -> FactorGraph:
                     f"factor {fname!r} references unknown variable {vn!r}"
                 )
         factors.append(Factor(fname, fvars, table, [arity[v] for v in fvars]))
-    graph = FactorGraph(variables, factors, doc.get("evidence"))
+    evidence = doc.get("evidence")
+    if evidence is not None and not isinstance(evidence, dict):
+        raise GraphError("evidence must be an object mapping names to values")
+    graph = FactorGraph(variables, factors, evidence)
     if graph.joint_states() <= MAX_ENUM_STATES:
         joint = enumerate_joint(graph)  # raises NoSupportError when empty
         del joint

@@ -55,9 +55,6 @@ class Cpt:
             rows[x, y] = 1.0
         return cls(m, n, rows)
 
-    def is_deterministic(self) -> bool:
-        return bool(np.all((self.rows == 0.0) | (self.rows == 1.0)))
-
     def matmul(self, other: "Cpt") -> "Cpt":
         if self.n != other.m:
             raise CompositionError(
@@ -105,7 +102,12 @@ class StochasticGate:
 
 
 class TableGate(StochasticGate):
-    """Gate that samples directly from a stored table by CDF inversion."""
+    """Gate that samples directly from a stored table by CDF inversion.
+
+    The lookup bisects (rows can hold up to 2^16 entries) and, like
+    lowprec.invert_cdf, clamps to the last output when rounding leaves the
+    row's running sum at or below u.
+    """
 
     def __init__(self, cpt: Cpt):
         self._cpt = cpt
@@ -116,7 +118,7 @@ class TableGate(StochasticGate):
     def sample(self, x: int, stream: EntropyStream) -> int:
         self._check_input(x)
         u = stream.next_unit()
-        return int(np.searchsorted(self._cdf[x], u, side="right"))
+        return min(int(np.searchsorted(self._cdf[x], u, side="right")), (1 << self.n) - 1)
 
     def cpt(self) -> Cpt:
         return self._cpt

@@ -102,18 +102,8 @@ def encode_energy(p: float, fmt: EnergyFormat = DEFAULT_FORMAT) -> EnergyWord:
     return EnergyWord(min(raw, fmt.max_raw), fmt)
 
 
-def quantize_energy(energy: float, fmt: EnergyFormat = DEFAULT_FORMAT) -> int:
-    """Round a real-valued energy (in bits) to a raw word, saturating."""
-    if energy < 0:
-        raise DomainError(f"energies are nonnegative, got {energy}")
-    if math.isinf(energy):
-        return fmt.max_raw
-    raw = int(round(energy * (1 << fmt.frac)))
-    return min(raw, fmt.max_raw)
-
-
 def quantize_energies(energies, fmt: EnergyFormat = DEFAULT_FORMAT) -> np.ndarray:
-    """Vectorized quantize_energy; +inf maps to the saturation sentinel."""
+    """Round energies (in bits) to raw words, saturating; +inf maps to the sentinel."""
     e = np.asarray(energies, dtype=float)
     raw = np.rint(e * (1 << fmt.frac))
     raw = np.where(np.isfinite(raw), raw, fmt.max_raw)

@@ -133,21 +133,27 @@ class _FactorPart:
         return base
 
 
+def _kernel_parts(var: str, arity: int, factors, tables: dict | None):
+    """A kernel's factor parts; the arity and every part's arity are checked."""
+    if arity < 1:
+        raise ConfigError(f"variable {var!r} has arity {arity}")
+    tables = {} if tables is None else tables
+    parts = [_FactorPart(f, var, tables) for f in factors]
+    for p in parts:
+        if p.arity != arity:
+            raise ConfigError(f"factor table arity mismatch on {var!r}")
+    return parts
+
+
 class GibbsKernel:
     """Samples the variable's full conditional given its neighbors."""
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
                  tables: dict | None = None):
-        if arity < 1:
-            raise ConfigError(f"variable {var!r} has arity {arity}")
+        self.parts = _kernel_parts(var, arity, factors, tables)
         self.var = var
         self.arity = arity
         self.fmt = fmt
-        tables = {} if tables is None else tables
-        self.parts = [_FactorPart(f, var, tables) for f in factors]
-        for p in self.parts:
-            if p.arity != arity:
-                raise ConfigError(f"factor table arity mismatch on {var!r}")
         self.set_temperature(1.0)
 
     def set_temperature(self, temperature: float):
@@ -216,6 +222,7 @@ class MhKernel:
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
                  proposal=None, tables: dict | None = None):
+        self.parts = _kernel_parts(var, arity, factors, tables)
         self.var = var
         self.arity = arity
         self.fmt = fmt
@@ -227,11 +234,8 @@ class MhKernel:
                 raise ConfigError("proposal must give positive probability everywhere")
             if not np.allclose(proposal, proposal.T):
                 raise ConfigError("only symmetric proposals are supported")
-            self._prop_cdf = np.cumsum(proposal / proposal.sum(axis=1, keepdims=True), axis=1)
-        else:
-            self._prop_cdf = None
-        tables = {} if tables is None else tables
-        self.parts = [_FactorPart(f, var, tables) for f in factors]
+            proposal = (proposal / proposal.sum(axis=1, keepdims=True)).tolist()
+        self._proposal = proposal
         self.set_temperature(1.0)
 
     def set_temperature(self, temperature: float):
@@ -260,11 +264,10 @@ class MhKernel:
         return total
 
     def step(self, current: int, snapshot, stream: EntropyStream) -> int:
-        if self._prop_cdf is None:
+        if self._proposal is None:
             proposed = stream.next_below(self.arity)
         else:
-            u = stream.next_unit()
-            proposed = int(np.searchsorted(self._prop_cdf[current], u, side="right"))
+            proposed = invert_cdf(self._proposal[current], stream.next_unit())
         if proposed == current:
             return current
         e_cur = self._energy_of(current, snapshot)

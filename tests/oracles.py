@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here computes expected values by enumeration or direct summation,
-never through the sampling paths under test.
+never through the sampling paths under test. FixedUnitStream drives a sampler
+with one chosen uniform draw.
 """
 
 import math
@@ -10,6 +11,16 @@ from itertools import product
 import numpy as np
 
 from stochcirc.factorgraph import Factor, FactorGraph, Variable
+
+
+class FixedUnitStream:
+    """A stream stub whose every next_unit() is the same value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def next_unit(self):
+        return self.u
 
 
 def fork_graph(evidence=None) -> FactorGraph:

@@ -351,3 +351,73 @@ def test_dpmm_data_with_non_integer_entry_exit_6(runner, tmp_path, rows):
                                   str(data), "--sweeps", "2", "--burn-in", "0"])
     assert result.exit_code == 6, result.output
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args", [
+    ["--format", "nope", "fg", "validate", "{model}"],
+    ["--format", "nope", "precision-sweep", "--outcomes", "10", "--per-bin", "10"],
+    ["--format", "nope", "selftest"],
+    ["--fault-rate", "2", "query", "{model}", "--sweeps", "10"],
+    ["--fault-rate", "-0.1", "gate", "sample", "--cpt", "{cpt}", "--input", "0"],
+])
+def test_global_flags_are_validated_for_every_subcommand(runner, tmp_path, model_file,
+                                                         args):
+    cpt = tmp_path / "cpt.json"
+    cpt.write_text('{"m": 1, "n": 1, "rows": [[0.5, 0.5], [1.0, 0.0]]}')
+    out = tmp_path / "out"
+    argv = ["--out-dir", str(out)] + [a.format(model=model_file, cpt=cpt) for a in args]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 6, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
+def _fork_with_evidence(tmp_path, evidence: str):
+    """The fork fixture with `"evidence": <evidence>` (raw JSON) appended."""
+    model = tmp_path / "model.json"
+    model.write_text(fixture_text("three_var_fork.json").rstrip().rstrip("}")
+                     + ', "evidence": ' + evidence + "}")
+    return model
+
+
+@pytest.mark.parametrize("value", ["1.5", '"1"', "true"])
+def test_non_integer_evidence_in_model_exit_3(runner, tmp_path, value):
+    model = _fork_with_evidence(tmp_path, '{"C": ' + value + "}")
+    result = runner.invoke(main, ["fg", "validate", str(model)])
+    assert result.exit_code == 3, result.output
+    assert "must be an integer" in result.output
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "query", str(model),
+                                  "--sweeps", "10"])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "marginals.csv").exists()
+
+
+def test_integer_evidence_in_model_clamps_the_query(runner, tmp_path):
+    model = _fork_with_evidence(tmp_path, '{"C": 1}')
+    assert runner.invoke(main, ["fg", "validate", str(model)]).exit_code == 0
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "query", str(model),
+                                  "--sweeps", "10"])
+    assert result.exit_code == 0, result.output
+    assert "C,1,1.0," in (tmp_path / "marginals.csv").read_text()
+
+
+@pytest.mark.parametrize("evidence", ['["C"]', "5", '"C=1"'])
+def test_evidence_that_is_not_an_object_exit_3(runner, tmp_path, evidence):
+    model = _fork_with_evidence(tmp_path, evidence)
+    result = runner.invoke(main, ["fg", "validate", str(model)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("shape", ["3x3", "2x3"])
+def test_dpmm_image_shape_that_does_not_hold_the_pixels_exit_6(runner, tmp_path, shape):
+    data = tmp_path / "data.txt"
+    data.write_text("1 0 1 0\n1 0 1 1\n0 1 0 1\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out-dir", str(out), "dpmm", "run", str(data),
+                                  "--sweeps", "2", "--burn-in", "0",
+                                  "--image-shape", shape])
+    assert result.exit_code == 6, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert list(out.iterdir()) == []

@@ -219,3 +219,15 @@ def test_factors_touching_keeps_declaration_order():
 def test_factor_rejects_non_finite_weights(bad):
     with pytest.raises(GraphError, match="non-finite"):
         Factor("f", ["X"], [1.0, bad], [2])
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.uint8(1)])
+def test_integer_evidence_is_stored_as_python_int(value):
+    g = fork_graph({"C": value})
+    assert g.evidence == {"C": 1} and type(g.evidence["C"]) is int
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", True, np.float64(1.0), None])
+def test_non_integer_evidence_is_a_graph_error(value):
+    with pytest.raises(GraphError, match="must be an integer"):
+        fork_graph({"C": value})

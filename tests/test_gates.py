@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import FixedUnitStream
 from stochcirc.entropy import EntropyStream
 from stochcirc.errors import CompositionError, ConfigError, DomainError
 from stochcirc.gates import (
@@ -219,3 +220,12 @@ def test_cpt_json_roundtrip():
 def test_dense_table_size_limit():
     with pytest.raises(ConfigError):
         Cpt(9, 9, np.full((512, 512), 1 / 512))
+
+
+def test_table_gate_clamps_a_short_row_to_the_last_output():
+    # the row sums to 1 - 4e-13, inside ROW_SUM_TOL, so the largest unit
+    # draw lies past the end of its CDF
+    gate = TableGate(Cpt(1, 1, [[0.5, 0.5 - 4e-13], [1.0, 0.0]]))
+    assert gate.sample(0, FixedUnitStream(1.0 - 2.0 ** -53)) == 1
+    assert gate.sample(0, FixedUnitStream(0.25)) == 0
+    assert gate.sample(0, FixedUnitStream(0.5)) == 1

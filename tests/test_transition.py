@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import conditional_by_enumeration, fork_graph
+from oracles import FixedUnitStream, conditional_by_enumeration, fork_graph
 from stochcirc.compiler import compile as compile_graph, fault_kl_report
 from stochcirc.entropy import EntropyStream
 from stochcirc.errors import ConfigError, DomainError, NoSupportError, ScheduleViolationError
@@ -9,6 +9,8 @@ from stochcirc.factorgraph import Factor, FactorGraph, Variable, enumerate_joint
 from stochcirc.lowprec import DEFAULT_FORMAT, total_variation
 from stochcirc.transition import (
     FaultModel,
+    GibbsKernel,
+    MhKernel,
     TransitionAssembly,
     TransitionCircuit,
     gibbs_kernel_from_factors,
@@ -313,3 +315,32 @@ def test_initial_state_is_checked_against_the_domains(state):
     with pytest.raises(DomainError):
         TransitionAssembly(list(asm.circuits.values()), asm.edges, asm.schedule,
                            state=state)
+
+
+def test_mh_explicit_proposal_never_proposes_past_the_domain():
+    # ten normalized 0.1 entries sum to 1 - 2^-53, the largest unit draw
+    flat = Factor("u", ["X"], [1.0] * 10, [10])
+    kernel = MhKernel("X", 10, [flat], DEFAULT_FORMAT, proposal=np.ones((10, 10)))
+    assert kernel.step(0, {"X": 0}, FixedUnitStream(1.0 - 2.0 ** -53)) == 9
+
+
+def test_mh_explicit_proposal_draw_matches_bisection_below_the_row_sum():
+    proposal = np.array([[2.0, 1.0, 3.0], [1.0, 5.0, 1.0], [3.0, 1.0, 2.0]])
+    flat = Factor("u", ["X"], [1.0] * 3, [3])
+    kernel = MhKernel("X", 3, [flat], DEFAULT_FORMAT, proposal=proposal)
+    cdf = np.cumsum(proposal / proposal.sum(axis=1, keepdims=True), axis=1)
+    stream = EntropyStream(5)
+    for _ in range(2000):
+        current = stream.next_below(3)
+        u = stream.next_unit()
+        expected = int(np.searchsorted(cdf[current], u, side="right"))
+        assert kernel.step(current, {"X": current}, FixedUnitStream(u)) == expected
+
+
+@pytest.mark.parametrize("kernel_cls", [GibbsKernel, MhKernel])
+def test_kernels_check_arity_at_construction(kernel_cls):
+    two_valued = Factor("u", ["X"], [1.0, 2.0], [2])
+    with pytest.raises(ConfigError, match="arity mismatch"):
+        kernel_cls("X", 3, [two_valued], DEFAULT_FORMAT)
+    with pytest.raises(ConfigError, match="arity 0"):
+        kernel_cls("X", 0, [], DEFAULT_FORMAT)
