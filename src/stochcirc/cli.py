@@ -8,12 +8,14 @@ results.
 
 The global options are parsed once, before any subcommand runs, so a
 malformed --format or a --fault-rate outside [0, 1] exits 6 whatever the
-subcommand. Every subcommand hands its artifacts to one writer, _emit,
-which writes them in order, echoes "wrote <path>" for each, and then
-writes <name>_meta.json (command, seed, parameters, package version). The
-command is the invoked subcommand path ("dpmm run"), and <name> is that
-path with spaces and dashes turned into underscores ("dpmm_run"). No
-timestamps anywhere.
+subcommand. The output directory is made once the subcommand's own
+arguments have parsed, so an argument rejected there (a draw count below
+1, say) leaves no directory behind. Every subcommand hands its artifacts
+to one writer, _emit, which writes them in order, echoes "wrote <path>"
+for each, and then writes <name>_meta.json (command, seed, parameters,
+package version). The command is the invoked subcommand path ("dpmm
+run"), and <name> is that path with spaces and dashes turned into
+underscores ("dpmm_run"). No timestamps anywhere.
 
 Exit codes:
     0 success
@@ -91,8 +93,24 @@ EXIT_CODES = [
 ]
 
 
-class _Main(click.Group):
+class _Command(click.Command):
+    """A subcommand; the output directory is made only once its own
+    arguments have parsed, so an argument rejected while parsing leaves no
+    directory behind."""
+
+    def invoke(self, ctx):
+        ctx.obj["out_dir"].mkdir(parents=True, exist_ok=True)
+        return super().invoke(ctx)
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+class _Main(_Group):
     """The root group; maps every library and JSON error to its exit code."""
+
+    group_class = _Group
 
     def invoke(self, ctx):
         try:
@@ -108,6 +126,13 @@ def _number(text: str, convert, what: str):
         return convert(text)
     except ValueError:
         raise ConfigError(f"{what} must be a number, got {text!r}") from None
+
+
+def _draw_count(ctx, param, value: int) -> int:
+    """The -n callback: a draw count below 1 is a ConfigError."""
+    if value < 1:
+        raise ConfigError(f"-n must be at least 1, got {value}")
+    return value
 
 
 def _parse_format(text: str | None):
@@ -193,7 +218,6 @@ def main(ctx, seed, out_dir, fmt, schedule, fault_rate, threads):
     ctx.obj.update(seed=seed, fmt=_parse_format(fmt), schedule=schedule,
                    fault=FaultModel(fault_rate) if fault_rate != 0 else None,
                    out_dir=pathlib.Path(out_dir))
-    ctx.obj["out_dir"].mkdir(parents=True, exist_ok=True)
 
 
 @main.group()
@@ -205,7 +229,8 @@ def gate():
 @click.option("--cpt", "cpt_path", required=True, type=click.Path(exists=True),
               help="JSON table {m, n, rows}.")
 @click.option("--input", "input_word", type=int, required=True)
-@click.option("-n", "draws", type=int, default=10000, show_default=True)
+@click.option("-n", "draws", type=int, default=10000, show_default=True,
+              callback=_draw_count)
 @click.pass_context
 def gate_sample(ctx, cpt_path, input_word, draws):
     """Sample a table gate and emit the output histogram."""

@@ -16,6 +16,8 @@ keeping whole-simulation reproducibility.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InvalidWidthError
 
 MASK64 = (1 << 64) - 1
@@ -37,6 +39,32 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_lanes(z: np.ndarray) -> np.ndarray:
+    """mix64 of every uint64 entry; numpy's uint64 arithmetic wraps mod 2**64."""
+    z = z + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
+
+
+def _check_seed(seed: int):
+    if not 0 <= seed <= MASK64:
+        raise InvalidWidthError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def fork_states(seed: int, count: int) -> np.ndarray:
+    """EntropyStream(seed).fork(i).state for i in range(count), as uint64.
+
+    Each is mix64(mix64(seed ^ mix64(i))), with the zero word remapped as
+    EntropyStream does; no stream object is built.
+    """
+    _check_seed(seed)
+    z = _mix64_lanes(np.uint64(seed) ^ _mix64_lanes(np.arange(count, dtype=np.uint64)))
+    state = _mix64_lanes(z)
+    state[state == 0] = _GOLDEN
+    return state
+
+
 class EntropyStream:
     """A deterministic stream of uniform bits owned by one consumer.
 
@@ -49,8 +77,7 @@ class EntropyStream:
     __slots__ = ("seed", "state", "draws_consumed")
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= MASK64:
-            raise InvalidWidthError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        _check_seed(seed)
         self.seed = seed
         state = mix64(seed)
         if state == 0:

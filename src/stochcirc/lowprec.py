@@ -359,6 +359,8 @@ def precision_sweep(
     """
     if k < 2:
         raise ConfigError(f"need at least two outcomes, got {k}")
+    if n_dists < 1:
+        raise ConfigError(f"need at least one distribution per bin, got {n_dists}")
     if entropy_grid is None:
         entropy_grid = default_entropy_grid(k)
     if formats is None:

@@ -11,6 +11,18 @@ Evidence costs and pairwise penalties are energies in bits. The lattice
 compiles to a factor graph whose chromatic schedule is the two-phase
 checkerboard, and solving runs annealed Gibbs through the transition
 module.
+
+For a fixed-point format whose weights fit the lane kernel and the
+parallel schedule, solve() skips the factor graph: it lowers the lattice
+straight to the two checkerboard lane groups (one table of specialized
+energy rows, index arrays for the 4-stencil, one uint64 stream word per
+site) and keeps them loaded for the whole annealing ladder, requantizing
+the table once per rung. Chromatic Gibbs is exact when each color class
+updates in parallel against the other's state, and the lowering repeats
+the compiled path's rows, streams, coloring and draws, so its labels,
+energies and stream words are bit-identical to to_factor_graph, compile
+and run. The float path, the serial and random-scan schedules and wider
+formats take that compiled path.
 """
 
 from __future__ import annotations
@@ -20,10 +32,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compiler import compile as compile_graph
-from .errors import ConfigError, ShapeError
+from .entropy import fork_states
+from .errors import ConfigError, NoSupportError, ShapeError
 from .factorgraph import Factor, FactorGraph, Variable
 from .lowprec import DEFAULT_FORMAT, EnergyFormat
-from .transition import run
+from .transition import (
+    _energy_rows,
+    _lane_gibbs,
+    _lane_weights_fit,
+    _no_support,
+    _quantize_rows,
+    run,
+)
 
 EVIDENCE_CAP = 32.0       # gray levels; bounds energies for fixed point
 EVIDENCE_SCALE = 8.0      # gray levels per bit of energy
@@ -112,6 +132,9 @@ class LatticeMRF:
     tau: float = 2.0
 
     def __post_init__(self):
+        if min(self.height, self.width, self.labels) < 1:
+            raise ShapeError(f"lattice needs at least one site and one label, got "
+                             f"{(self.height, self.width, self.labels)}")
         self.evidence = np.asarray(self.evidence, dtype=float)
         if self.evidence.shape != (self.height, self.width, self.labels):
             raise ShapeError(
@@ -181,6 +204,145 @@ class SolveResult:
         return "\n".join(lines) + "\n"
 
 
+class _Compiled:
+    """The reference path: to_factor_graph, compile, then one run per rung."""
+
+    def __init__(self, mrf: LatticeMRF, fmt, seed: int, schedule: str):
+        self.shape = (mrf.height, mrf.width)
+        self.assembly = compile_graph(mrf.to_factor_graph(), fmt=fmt,
+                                      schedule=schedule, seed=seed)
+        # the zero-padded site names sort in row-major order, and so do the
+        # columns of a trace row
+        self.names = sorted(self.assembly.circuits)
+
+    def sweeps(self, temperature: float, n: int):
+        self.assembly.set_temperature(temperature)
+        for row in run(self.assembly, n, burn_in=0).rows:
+            yield np.array(row).reshape(self.shape)
+
+    def labels(self) -> np.ndarray:
+        return np.array([self.assembly.state[n] for n in self.names]).reshape(self.shape)
+
+    def streams(self) -> list[tuple[int, int]]:
+        return [(self.assembly.circuits[n].stream.state,
+                 self.assembly.circuits[n].stream.draws_consumed) for n in self.names]
+
+
+class _Checkerboard:
+    """A lattice lowered straight to its two checkerboard lane groups.
+
+    Sites are numbered row-major. The float table holds every site's unary
+    rows, the smoothness rows a site reads for its east or south neighbor
+    (the pair table's first axis is the site's), those for its west or
+    north neighbor (its second axis), and a zero block. Each site has five
+    parts: its unary rows and one per stencil neighbor, where a missing
+    neighbor reads the zero block; part p's row starts at offset[s, p] +
+    label[nbr[s, p]] * stride[s, p]. These are the rows, and the
+    (sorted-name, so row-major) stream forks, that compile gives each site.
+    Group 0 is the greedy coloring's color 0: the parity of the first site
+    of maximum degree.
+    """
+
+    def __init__(self, mrf: LatticeMRF, pair: np.ndarray, fmt: EnergyFormat, seed: int):
+        h, w, d = mrf.height, mrf.width, mrf.labels
+        n = h * w
+        states = fork_states(seed, n)   # checks the seed first, as compile does
+        unary = np.exp2(-mrf.evidence).reshape(n, d)
+        peak = unary.max(axis=1, keepdims=True)
+        if (peak <= 0.0).any():
+            i, j = divmod(int((peak[:, 0] <= 0.0).argmax()), w)
+            raise NoSupportError(f"factor 'ev_{mrf.site_name(i, j)}' has an all-zero table")
+        self.float_table = np.concatenate([
+            _energy_rows(unary, peak).reshape(-1),
+            _energy_rows(np.moveaxis(pair, 0, -1), pair.max()).reshape(-1),
+            _energy_rows(pair, pair.max()).reshape(-1),
+            np.zeros(d)])
+        first, second, zero = n * d, n * d + d * d, n * d + 2 * d * d
+        sites = np.arange(n)
+        row, col = np.divmod(sites, w)
+        stencil = [(col + 1 < w, 1, first), (row + 1 < h, w, first),
+                   (col > 0, -1, second), (row > 0, -w, second)]
+        nbr = np.stack([sites] + [np.where(ok, sites + step, sites)
+                                  for ok, step, _ in stencil], axis=1)
+        stride = np.stack([np.zeros_like(sites)] + [ok * d for ok, _, _ in stencil], axis=1)
+        offset = np.stack([sites * d] + [np.where(ok, block, zero)
+                                         for ok, _, block in stencil], axis=1)
+        degree = sum(ok.astype(int) for ok, _, _ in stencil)
+        parity = (row + col) % 2
+        color = parity != parity[degree.argmax()]
+        self.groups = [(g, nbr[g], stride[g], offset[g], states[g], np.zeros(g.size, np.int64))
+                       for g in (sites[~color], sites[color]) if g.size]
+        self.pad = np.zeros((1, d), bool)
+        self.fmt = fmt
+        self.mrf = mrf
+        self.state = np.zeros(n, np.int64)
+
+    def sweeps(self, temperature: float, n: int):
+        """n sweeps at temperature; yields the live label grid after each."""
+        table = _quantize_rows(self.float_table, self.fmt, temperature)
+        labels = self.state
+        grid = labels.reshape(self.mrf.height, self.mrf.width)
+        for _ in range(n):
+            for sites, nbr, stride, offset, lanes, draws in self.groups:
+                drawn = _lane_gibbs(table, offset + labels[nbr] * stride, self.pad,
+                                    self.fmt, lanes, draws)
+                labels[sites[:drawn.size]] = drawn
+                if drawn.size < sites.size:
+                    i, j = divmod(int(sites[drawn.size]), self.mrf.width)
+                    raise _no_support(self.mrf.site_name(i, j))
+            yield grid
+
+    def labels(self) -> np.ndarray:
+        return self.state.reshape(self.mrf.height, self.mrf.width).copy()
+
+    def streams(self) -> list[tuple[int, int]]:
+        words = np.empty(self.state.size, np.uint64)
+        draws = np.empty(self.state.size, np.int64)
+        for sites, _, _, _, lanes, lane_draws in self.groups:
+            words[sites] = lanes
+            draws[sites] = lane_draws
+        return list(zip(words.tolist(), draws.tolist()))
+
+
+def _ladder(sweeps: int, anneal, anneal_rungs: int) -> list[tuple[float, int]]:
+    """(temperature, sweeps) per rung; anneal=None is one rung at T=1."""
+    if anneal is None:
+        return [(1.0, sweeps)]
+    t_hi, t_lo = anneal
+    if t_hi <= 0 or t_lo <= 0:
+        raise ConfigError("annealing temperatures must be positive")
+    rungs = max(1, min(anneal_rungs, sweeps))
+    temps = np.geomspace(t_hi, t_lo, rungs)
+    per = [sweeps // rungs + (1 if r < sweeps % rungs else 0) for r in range(rungs)]
+    return [(float(t), n) for t, n in zip(temps, per)]
+
+
+def _solve(mrf: LatticeMRF, sweeps: int, seed: int, fmt: EnergyFormat | None,
+           anneal, anneal_rungs: int, schedule: str):
+    """solve(), plus the sampler that ran it; its streams() gives every
+    site's final (stream word, draws consumed) in row-major order."""
+    pair = mrf.smoothness_table()
+    # a smoothness table the factor graph rejects (non-finite) or cannot
+    # specialize (all zero) takes the compiled path, which raises its error
+    if (schedule == "parallel" and fmt is not None and _lane_weights_fit(fmt, mrf.labels)
+            and np.isfinite(pair).all() and pair.max() > 0.0):
+        sampler = _Checkerboard(mrf, pair, fmt, seed)
+    else:
+        sampler = _Compiled(mrf, fmt, seed, schedule)
+    trace_energy = []
+    for temperature, n in _ladder(sweeps, anneal, anneal_rungs):
+        if n >= 1:
+            trace_energy.extend(mrf.total_energy(grid)
+                                for grid in sampler.sweeps(temperature, n))
+    meta = {
+        "seed": seed, "sweeps": sweeps, "schedule": schedule,
+        "format": None if fmt is None else [fmt.bits, fmt.frac],
+        "anneal": None if anneal is None else list(anneal),
+        "lam": mrf.lam, "tau": mrf.tau, "labels": mrf.labels,
+    }
+    return SolveResult(sampler.labels(), trace_energy, meta), sampler
+
+
 def solve(mrf: LatticeMRF, sweeps: int, seed: int = 0,
           fmt: EnergyFormat | None = DEFAULT_FORMAT,
           anneal: tuple[float, float] | None = (2.0, 0.1),
@@ -190,41 +352,9 @@ def solve(mrf: LatticeMRF, sweeps: int, seed: int = 0,
     With annealing, temperature steps down a geometric ladder from
     anneal[0] to anneal[1]; each rung is one run at its temperature and the
     final state is the label estimate. The energy trace records the model
-    energy after every sweep, read from the run's trace rows.
+    energy after every sweep.
     """
-    graph = mrf.to_factor_graph()
-    assembly = compile_graph(graph, fmt=fmt, schedule=schedule, seed=seed)
-    # trace rows list the variables in sorted name order
-    var_names = sorted(assembly.circuits)
-    column = {name: k for k, name in enumerate(var_names)}
-    grid = np.array([[column[name] for name in row] for row in mrf.site_names()])
-
-    trace_energy = []
-    if anneal is None:
-        ladder = [(1.0, sweeps)]
-    else:
-        t_hi, t_lo = anneal
-        if t_hi <= 0 or t_lo <= 0:
-            raise ConfigError("annealing temperatures must be positive")
-        rungs = max(1, min(anneal_rungs, sweeps))
-        temps = np.geomspace(t_hi, t_lo, rungs)
-        per = [sweeps // rungs + (1 if r < sweeps % rungs else 0)
-               for r in range(rungs)]
-        ladder = [(float(t), n) for t, n in zip(temps, per)]
-    for temperature, n in ladder:
-        if n < 1:
-            continue
-        assembly.set_temperature(temperature)
-        for row in run(assembly, n, burn_in=0).rows:
-            trace_energy.append(mrf.total_energy(np.array(row)[grid]))
-    labels = np.array([assembly.state[name] for name in var_names])[grid]
-    meta = {
-        "seed": seed, "sweeps": sweeps, "schedule": schedule,
-        "format": None if fmt is None else [fmt.bits, fmt.frac],
-        "anneal": None if anneal is None else list(anneal),
-        "lam": mrf.lam, "tau": mrf.tau, "labels": mrf.labels,
-    }
-    return SolveResult(labels, trace_energy, meta)
+    return _solve(mrf, sweeps, seed, fmt, anneal, anneal_rungs, schedule)[0]
 
 
 def labels_to_gray(labels: np.ndarray, d: int) -> np.ndarray:

@@ -60,13 +60,20 @@ def _specialized_energy_table(factor: Factor, var: str):
     peak = factor.table.max()
     if peak <= 0.0:
         raise NoSupportError(f"factor {factor.name!r} has an all-zero table")
+    return neighbors, _energy_rows(moved, peak), moved.shape[-1]
+
+
+def _energy_rows(weights: np.ndarray, peak) -> np.ndarray:
+    """-log2(weights / peak), each row along the last axis shifted to minimum zero.
+
+    Zero weights become +inf; a row of zeros keeps its infinities. peak
+    broadcasts, so a stack of tables can be specialized in one call with
+    exactly the per-table arithmetic.
+    """
     with np.errstate(divide="ignore"):
-        energy = -np.log2(moved / peak)
-    flat = energy.reshape(-1, energy.shape[-1])
-    mins = np.min(flat, axis=1, keepdims=True)
-    mins = np.where(np.isfinite(mins), mins, 0.0)
-    flat = flat - mins
-    return neighbors, flat.reshape(energy.shape), moved.shape[-1]
+        energy = -np.log2(weights / peak)
+    mins = np.min(energy, axis=-1, keepdims=True)
+    return energy - np.where(np.isfinite(mins), mins, 0.0)
 
 
 def _quantize_rows(float_rows: np.ndarray, fmt: EnergyFormat,
@@ -206,7 +213,12 @@ class GibbsKernel:
         try:
             if self.fmt is None:
                 weights = float_weights(energies)
-                return invert_cdf(weights, stream.next_unit() * sum(weights))
+                # left to right, as invert_cdf accumulates: the builtin sum
+                # of floats is compensated from Python 3.12 on
+                total = 0.0
+                for w in weights:
+                    total += w
+                return invert_cdf(weights, stream.next_unit() * total)
             weights = integer_weights(energies, self.fmt)
         except NoSupportError:
             raise _no_support(self.var) from None
@@ -433,14 +445,79 @@ def _apply_fault(value: int, circuit: TransitionCircuit, rate: float) -> int:
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:
-    """int.bit_length of every entry of a nonnegative int64 array, exactly."""
-    n = np.zeros_like(v)
-    for shift in (32, 16, 8, 4, 2, 1):
-        high = v >> shift
-        big = high > 0
-        n += big * shift
-        v = np.where(big, high, v)
-    return n + v
+    """int.bit_length of every entry of a nonnegative int64 array, exactly.
+
+    The float exponent is exact below 2^53; above, rounding to the next
+    power of two can overshoot by one, which the shift test takes back.
+    """
+    n = np.frexp(v.astype(np.float64))[1].astype(np.int64)
+    return n - ((n > 0) & ((v >> np.maximum(n - 1, 0)) == 0))
+
+
+def _lane_weights_fit(fmt: EnergyFormat, arity: int) -> bool:
+    """Whether the integer weights of arity candidates fit LANE_WEIGHT_BITS."""
+    return ((fmt.max_raw >> fmt.frac) + MULTIPLIER_BITS + (arity - 1).bit_length()
+            <= LANE_WEIGHT_BITS)
+
+
+def _lane_below(bound: np.ndarray, lanes: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """EntropyStream.next_below(bound) on the first len(bound) lanes.
+
+    Every bound is at least 2^16 (the weight of the minimum-energy
+    candidate) and at most 2^62, so no lane takes next_below's bound-1
+    shortcut and each rejection attempt is one 64-bit word.
+    """
+    shift = (64 - _bit_length(bound - 1)).astype(np.uint64)
+    out = np.empty(bound.size, np.int64)
+    pending = np.arange(bound.size)
+    while pending.size:
+        x = lanes[pending]
+        x ^= x << 13
+        x ^= x >> 7
+        x ^= x << 17
+        lanes[pending] = x
+        draws[pending] += 1
+        v = (x >> shift[pending]).astype(np.int64)
+        ok = v < bound[pending]
+        out[pending[ok]] = v[ok]
+        pending = pending[~ok]
+    return out
+
+
+def _lane_gibbs(table: np.ndarray, base: np.ndarray, pad: np.ndarray,
+                fmt: EnergyFormat, lanes: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """GibbsKernel.step on every lane at once: the one lane kernel.
+
+    Lane m's energy for candidate v is the sum over its parts p of
+    table[base[m, p] + v] (raw words at the run's temperature); pad, which
+    broadcasts against (lanes, candidates), masks candidates past a lane's
+    arity. lanes and draws are each lane's xorshift word and draw count,
+    advanced in place. Returns the drawn values of the lanes before the
+    first one whose conditional has no support, so the result is shorter
+    than base exactly when one is empty, as the scalar path updates in
+    order and stops there.
+    """
+    sat = fmt.max_raw
+    candidates = np.arange(pad.shape[1])
+    # part by part: numpy reduces a short middle axis far slower than it adds
+    sums = table[base[:, 0, None] + candidates]
+    dead = pad | (sums == sat)
+    for p in range(1, base.shape[1]):
+        raw = table[base[:, p, None] + candidates]
+        sums += raw
+        dead |= raw == sat
+    emin = np.where(dead, np.iinfo(np.int64).max, sums).min(axis=1, keepdims=True)
+    energy = np.clip(sums - emin, 0, sat - 1)
+    multipliers = np.asarray(_multiplier_table(fmt.frac)[0], np.int64)
+    weights = np.where(
+        dead, 0,
+        multipliers[energy & ((1 << fmt.frac) - 1)]
+        << ((sat >> fmt.frac) - (energy >> fmt.frac)))
+    empty = dead.all(axis=1)
+    stop = int(empty.argmax()) if empty.any() else len(base)
+    cdf = np.cumsum(weights[:stop], axis=1)
+    u = _lane_below(cdf[:, -1], lanes, draws)
+    return np.argmax(u[:, None] < cdf, axis=1)
 
 
 class _LaneGroup:
@@ -470,11 +547,11 @@ class _LaneGroup:
         self.reads: list[str] = []
         read_at: dict[str, int] = {}
         blocks: list[np.ndarray] = []
-        block_at: dict[bytes, int] = {}
+        block_at: dict[int, int] = {}  # id of a shared read-only row block
         size = 0
         for m, kern in enumerate(kernels):
             for j, part in enumerate(kern.parts):
-                key = part.float_rows.tobytes()
+                key = id(part.float_rows)
                 if key not in block_at:
                     block_at[key] = size
                     blocks.append(part.float_rows)
@@ -489,9 +566,7 @@ class _LaneGroup:
         self.offset[self.offset < 0] = size
         blocks.append(np.zeros(k))
         self.float_table = np.concatenate(blocks)
-        self.candidates = np.arange(k)
-        self.pad = self.candidates >= np.array([[kern.arity] for kern in kernels])
-        self.multipliers = np.asarray(_multiplier_table(self.fmt.frac)[0], np.int64)
+        self.pad = np.arange(k) >= np.array([[kern.arity] for kern in kernels])
         self.temperature = None
         self.table = None
 
@@ -527,56 +602,16 @@ class _Lanes:
             stream.state = state
             stream.draws_consumed += draws
 
-    def _below(self, bound: np.ndarray) -> np.ndarray:
-        """EntropyStream.next_below(bound) on the first len(bound) lanes.
-
-        Every bound is at least 2^16 (the weight of the minimum-energy
-        candidate) and at most 2^62, so no lane takes next_below's bound-1
-        shortcut and each rejection attempt is one 64-bit word.
-        """
-        shift = (64 - _bit_length(bound - 1)).astype(np.uint64)
-        out = np.empty(bound.size, np.int64)
-        pending = np.arange(bound.size)
-        while pending.size:
-            x = self.lanes[pending]
-            x ^= x << 13
-            x ^= x >> 7
-            x ^= x << 17
-            self.lanes[pending] = x
-            self.draws[pending] += 1
-            v = (x >> shift[pending]).astype(np.int64)
-            ok = v < bound[pending]
-            out[pending[ok]] = v[ok]
-            pending = pending[~ok]
-        return out
-
     def step(self, state: dict):
         """GibbsKernel.step for every lane, all reading the group-start state."""
         group = self.group
-        fmt = group.fmt
-        sat = fmt.max_raw
         values = np.fromiter(map(state.__getitem__, group.reads), np.int64,
                              len(group.reads))
         base = self.offset + (values[self.nbr] * self.stride).sum(axis=2)
-        raw = group.table[base[:, :, None] + group.candidates]
-        dead = (raw == sat).any(axis=1) | self.pad
-        sums = raw.sum(axis=1)
-        emin = np.where(dead, np.iinfo(np.int64).max, sums).min(axis=1, keepdims=True)
-        energy = np.clip(sums - emin, 0, sat - 1)
-        weights = np.where(
-            dead, 0,
-            group.multipliers[energy & ((1 << fmt.frac) - 1)]
-            << ((sat >> fmt.frac) - (energy >> fmt.frac)))
-        # the scalar path updates circuits in order and stops at the first
-        # conditional without support
-        empty = dead.all(axis=1)
-        stop = int(empty.argmax()) if empty.any() else len(self.names)
-        cdf = np.cumsum(weights[:stop], axis=1)
-        u = self._below(cdf[:, -1])
-        drawn = np.argmax(u[:, None] < cdf, axis=1)
+        drawn = _lane_gibbs(group.table, base, self.pad, group.fmt, self.lanes, self.draws)
         state.update(zip(self.names, drawn.tolist()))
-        if stop < len(self.names):
-            raise _no_support(self.names[stop])
+        if len(drawn) < len(self.names):
+            raise _no_support(self.names[len(drawn)])
 
 
 def _lower(assembly: TransitionAssembly) -> dict:
@@ -597,8 +632,7 @@ def _lower(assembly: TransitionAssembly) -> dict:
         fmt = kernels[0].fmt
         if fmt is None or any(type(k) is not GibbsKernel or k.fmt != fmt for k in kernels):
             continue
-        k = max(kern.arity for kern in kernels)
-        if (fmt.max_raw >> fmt.frac) + MULTIPLIER_BITS + (k - 1).bit_length() > LANE_WEIGHT_BITS:
+        if not _lane_weights_fit(fmt, max(kern.arity for kern in kernels)):
             continue
         lowered[gi] = _LaneGroup(group, assembly.circuits)
     return lowered

@@ -421,3 +421,26 @@ def test_dpmm_image_shape_that_does_not_hold_the_pixels_exit_6(runner, tmp_path,
     assert result.exit_code == 6, result.output
     assert isinstance(result.exception, SystemExit)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("draws", ["0", "-5"])
+def test_gate_sample_draw_count_below_one_exit_6(runner, tmp_path, draws):
+    cpt = tmp_path / "cpt.json"
+    cpt.write_text('{"m": 1, "n": 1, "rows": [[0.5, 0.5], [1.0, 0.0]]}')
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out-dir", str(out), "gate", "sample",
+                                  "--cpt", str(cpt), "--input", "0", "-n", draws])
+    assert result.exit_code == 6, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "-n must be at least 1" in result.output
+    assert not out.exists()
+
+
+def test_precision_sweep_per_bin_zero_exit_6(runner, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out-dir", str(out), "precision-sweep",
+                                  "--outcomes", "5", "--per-bin", "0", "--bits", "4"])
+    assert result.exit_code == 6, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "at least one distribution per bin" in result.output
+    assert not (out / "precision_sweep.csv").exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from stochcirc.entropy import DEFAULT_SEED, EntropyStream, mix64
+from stochcirc.entropy import DEFAULT_SEED, MASK64, EntropyStream, fork_states, mix64
 from stochcirc.errors import InvalidWidthError
 
 
@@ -108,3 +108,39 @@ def test_next_below_range_and_determinism():
     assert all(0 <= v < 7 for v in vals)
     assert len(set(vals)) == 7
     assert EntropyStream(5).next_below(1) == 0
+
+
+def unmix64(z: int) -> int:
+    """The inverse of mix64."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    z = unshift(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & MASK64
+
+
+@pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED, MASK64])
+def test_fork_states_equal_forked_streams(seed):
+    master = EntropyStream(seed)
+    assert fork_states(seed, 300).tolist() == [master.fork(i).state for i in range(300)]
+
+
+def test_fork_states_remap_the_zero_word():
+    assert all(unmix64(mix64(z)) == z for z in (0, 1, 12345, MASK64))
+    # the seed whose fork 2 would start in the all-zero state
+    seed = unmix64(unmix64(0)) ^ mix64(2)
+    assert EntropyStream(seed).fork(2).state == 0x9E3779B97F4A7C15
+    assert fork_states(seed, 3).tolist()[2] == 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize("seed", [-1, MASK64 + 1])
+def test_fork_states_check_the_seed_like_the_stream(seed):
+    with pytest.raises(InvalidWidthError):
+        fork_states(seed, 2)

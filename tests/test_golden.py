@@ -36,10 +36,14 @@ def _inputs(root):
                                        [0.1, 0.2, 0.3, 0.4],
                                        [0.7, 0.1, 0.1, 0.1],
                                        [0.25, 0.25, 0.25, 0.25]]).to_json())
-    pair, _ = random_dot_stereogram(16, 16, 2, seed=3)
-    for key, image in (("left", pair.first), ("right", pair.second)):
-        paths[key] = root / f"{key}.pgm"
-        write_pgm(paths[key], image)
+    # 16x16 is the default pair; 2x17 and 1x20 put the first site of the
+    # greedy coloring's color 0 on an odd-parity square
+    for tag, (h, w, seed) in (("", (16, 16, 3)), ("2x17", (2, 17, 5)),
+                              ("1x20", (1, 20, 6))):
+        pair, _ = random_dot_stereogram(h, w, 2, seed=seed)
+        for key, image in (("left", pair.first), ("right", pair.second)):
+            paths[key + tag] = root / f"{key}{tag}.pgm"
+            write_pgm(paths[key + tag], image)
     rng = np.random.default_rng(4)
     protos = rng.integers(0, 2, size=(2, 8))
     rows = np.where(rng.random((30, 8)) < 0.1, 1 - protos[np.arange(30) % 2],
@@ -70,6 +74,17 @@ CASES.update({
     "stereo-float": ["--format", "float", "stereo", "{left}", "{right}", "-d", "6",
                      "--sweeps", "30", "--anneal", "off"],
     "motion": ["motion", "{left}", "{right}", "-d", "5", "--sweeps", "20"],
+    "motion-d9": ["motion", "{left}", "{right}", "-d", "9", "--sweeps", "20"],
+    "stereo-anneal-off": ["--format", "8,4", "stereo", "{left}", "{right}", "-d", "6",
+                          "--sweeps", "30", "--anneal", "off"],
+    "stereo-6,2": ["--format", "6,2", "stereo", "{left}", "{right}", "-d", "6",
+                   "--sweeps", "30"],
+    "stereo-10,5": ["--format", "10,5", "stereo", "{left}", "{right}", "-d", "6",
+                    "--sweeps", "30"],
+    "stereo-2x17": ["stereo", "{left2x17}", "{right2x17}", "-d", "4", "--sweeps", "30"],
+    "stereo-1x20": ["stereo", "{left1x20}", "{right1x20}", "-d", "4", "--sweeps", "30"],
+    "stereo-serial": ["--schedule", "serial", "stereo", "{left}", "{right}", "-d", "6",
+                      "--sweeps", "30"],
     "dpmm": ["dpmm", "run", "{data}", "--sweeps", "60", "--burn-in", "10"],
     "compile": ["--schedule", "serial", "compile", "{icu}", "--kernel", "mh",
                 "--evidence", "alarm=1"],
@@ -109,7 +124,11 @@ def artifact_digests(case, root):
 # follow the random-scan stream (one scan draw per epoch) instead of cycling
 # the singleton groups in name order. The "_meta.json", "assembly.json" and
 # "stdout" digests were pinned before the CLI's output code was folded into
-# one writer, which had to leave them unchanged.
+# one writer, which had to leave them unchanged. The motion-d9 and
+# stereo-{anneal-off,6,2,10,5,2x17,1x20,serial} digests were pinned before
+# mrf.solve learned to lower lattices straight to checkerboard lanes: they
+# cover the T=1 ladder, three lane formats, odd-parity color 0 on 2xN and
+# 1xN lattices, nine motion candidates and the serial reference fallback.
 GOLDEN = {
     'compile': {
         'assembly.json': '89b9b64118603af5a2afeb71ace77582cb21913c15b929f7ac1eca254965bd55',
@@ -138,6 +157,12 @@ GOLDEN = {
         'motion_energy.csv': 'bfd0dab8de1bf97292c60d81e0d96c0bfa6cd5371a2b13efd34fed8ddbb6776a',
         'motion_labels.pgm': '59829055524a0bd54d2813e887d76a5b1afa1686863efd4b59f2c70d3b17c672',
         'motion_meta.json': '2d2cb851c92b4cb2ef16b61966a8bccb02b31dc92ced1bfe447e4ad5624676e6',
+        'stdout': '7107a55a3d577d64a1c010cdebcef6bfd216f382bd950ea0c95bca2a1a93cbd1',
+    },
+    'motion-d9': {
+        'motion_energy.csv': '2f4886283ed1f515c3a28dd470434f9c584d9185b11f8b07cbab0ab8724133cb',
+        'motion_labels.pgm': 'b9ae1916134428e788bd3657ae20254dbb3640d6619f6b85275bf790a6ed664b',
+        'motion_meta.json': '950d1962c5eb59c68dae341386f387559fbf9444ec1b8d071e688afad30d7cf4',
         'stdout': '7107a55a3d577d64a1c010cdebcef6bfd216f382bd950ea0c95bca2a1a93cbd1',
     },
     'precision-sweep': {
@@ -289,17 +314,53 @@ GOLDEN = {
         'spike_trace.csv': '2031793c221f4c148bed65bbe80308b909fed730f93cc5fdca33f6d524c5c40a',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },
+    'stereo-10,5': {
+        'stdout': 'befdc9cb96ef3f9db9eebc68526dcd75c1a80fd3d31223658255f9138f40ecfa',
+        'stereo_energy.csv': '513c684ee3301f6961ebbd2d47d253b3e7542bd4379660757b6bc0c4e0e2859d',
+        'stereo_labels.pgm': 'd2ec33329150495dec3b51e88ab0918ce7c64b85a83545f2c0ceb4ec507aa71e',
+        'stereo_meta.json': '3cabb275bd57e8efe2afb93741bc42bb3f3589e6af63013ad69e5a226284b0bd',
+    },
+    'stereo-1x20': {
+        'stdout': 'befdc9cb96ef3f9db9eebc68526dcd75c1a80fd3d31223658255f9138f40ecfa',
+        'stereo_energy.csv': 'c1f1db6bbc7dc224014eecbb689c25e16876180670f1a1382cf0a08abb772d03',
+        'stereo_labels.pgm': '2ac7e5cf52560f4e2ff41400017f9df40129d7291b3a0888d1d2c346597917f5',
+        'stereo_meta.json': '0b94000094fbc948a5ac253ae23681102451c63b597cca0452ab540a5dd7dc66',
+    },
+    'stereo-2x17': {
+        'stdout': 'befdc9cb96ef3f9db9eebc68526dcd75c1a80fd3d31223658255f9138f40ecfa',
+        'stereo_energy.csv': 'a81607d4a123da858b68094ff4b120733cfe93799398b01046cf2f556c368477',
+        'stereo_labels.pgm': 'af106dd353f5d3b1a3e79102844789e39179efd00f0e0a3f3b75378b89b0286c',
+        'stereo_meta.json': '288175ceef091d5ce7033a41551941e6a20d0b2645f69bb4f3f131efa4d1778e',
+    },
+    'stereo-6,2': {
+        'stdout': 'befdc9cb96ef3f9db9eebc68526dcd75c1a80fd3d31223658255f9138f40ecfa',
+        'stereo_energy.csv': '227ee725775ae93a5c234e61c45d10f99b351057a0266fdff0c712281dec4f7a',
+        'stereo_labels.pgm': '3f47a88dd5ae628c17b013391c8bf477ca40b6410922495878be83a5acca501b',
+        'stereo_meta.json': 'c859d768dabd603b3a2f328444a36261e1608e4b95b16d43c82d0b40ce9057b9',
+    },
     'stereo-anneal': {
         'stdout': 'befdc9cb96ef3f9db9eebc68526dcd75c1a80fd3d31223658255f9138f40ecfa',
         'stereo_energy.csv': '76755daa5cfef335d4a3b42dac4d77527d66eda4c24f847fc65c62e838711ce2',
         'stereo_labels.pgm': '19fbde01d3758418c3d089f0d183e30737a290aa1fc63e5cd1d615a3e59c64ca',
         'stereo_meta.json': '21c565b300fdc2b901958971339145942c476a61f566131a7492834e5074a516',
     },
+    'stereo-anneal-off': {
+        'stdout': 'befdc9cb96ef3f9db9eebc68526dcd75c1a80fd3d31223658255f9138f40ecfa',
+        'stereo_energy.csv': '52b382b4e7218819843336f92bc84acbc1a484db69120f8e0e4b900f77f1583b',
+        'stereo_labels.pgm': '34eeedf0110a88740a526baab9feb20f2955c5058b332c5a545c3ffd1a0b5fba',
+        'stereo_meta.json': '01b39971e95a38d98cbf73ee7235a0100d9273285e6442db33b8b13700aabf7b',
+    },
     'stereo-float': {
         'stdout': 'befdc9cb96ef3f9db9eebc68526dcd75c1a80fd3d31223658255f9138f40ecfa',
         'stereo_energy.csv': '62f31ff456ee073e8d1d212e63326a2b95dffeb7ab48ae41a9493c22a0ed8c5c',
         'stereo_labels.pgm': 'b340beab420ef54000765431b1354b8ff2831cf86c06023059ad341c4710a7b7',
         'stereo_meta.json': '29698151fdf7257a366f5808cb3a0ff88982d25ae678155d65a64759eec6c1e9',
+    },
+    'stereo-serial': {
+        'stdout': 'befdc9cb96ef3f9db9eebc68526dcd75c1a80fd3d31223658255f9138f40ecfa',
+        'stereo_energy.csv': 'da53dc91b18a7586c958473fd6e020cab0405111c917cf0906d53d146eb774f5',
+        'stereo_labels.pgm': '8687d51a6c5502b968f9b9cab0add82b44ece49265b51c0e0a6a9590ffdb7597',
+        'stereo_meta.json': 'aab27364f3f27e6da3e247960cdea3e618c8bb5da3e165769dbeade5862074e5',
     },
 }
 

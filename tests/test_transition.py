@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from stochcirc.compiler import compile as compile_graph, fault_kl_report
 from stochcirc.entropy import EntropyStream
 from stochcirc.errors import ConfigError, DomainError, NoSupportError, ScheduleViolationError
 from stochcirc.factorgraph import Factor, FactorGraph, Variable, enumerate_joint
-from stochcirc.lowprec import DEFAULT_FORMAT, total_variation
+from stochcirc.lowprec import DEFAULT_FORMAT, float_weights, invert_cdf, total_variation
 from stochcirc.transition import (
     FaultModel,
     GibbsKernel,
@@ -344,3 +346,17 @@ def test_kernels_check_arity_at_construction(kernel_cls):
         kernel_cls("X", 3, [two_valued], DEFAULT_FORMAT)
     with pytest.raises(ConfigError, match="arity 0"):
         kernel_cls("X", 0, [], DEFAULT_FORMAT)
+
+
+def test_float_gibbs_totals_the_weights_left_to_right():
+    # left to right 1 + 2^-53 + 2^-53 rounds to 1 twice, the exact sum is
+    # 1 + 2^-52; scaled by the largest unit draw, that exact total would
+    # run past the running sum and fall through to the zero-weight value 3
+    table = [1.0, 2.0 ** -53, 2.0 ** -53, 0.0]
+    kernel = GibbsKernel("X", 4, [Factor("u", ["X"], table, [4])], None)
+    weights = float_weights(kernel.conditional_energies({}))
+    assert weights == table
+    assert math.fsum(weights) > weights[0] + weights[1] + weights[2] + weights[3]
+    u = 1.0 - 2.0 ** -53
+    assert invert_cdf(weights, u * math.fsum(weights)) == 3
+    assert kernel.step(0, {"X": 0}, FixedUnitStream(u)) == 0
