@@ -47,7 +47,7 @@ from .compiler import (
 from .dpmm import (
     DpmmState,
     cluster_summaries,
-    gibbs_sweep,
+    gibbs_chain,
     read_idx_images,
     stream_datum,
 )
@@ -62,7 +62,7 @@ from .errors import (
     StochcircError,
 )
 from .factorgraph import enumerate_joint, parse, parse_file
-from .gates import Cpt, TableGate
+from .gates import Cpt, TableGate, theta_sample
 from .lowprec import (
     DEFAULT_FORMAT,
     EnergyFormat,
@@ -432,18 +432,13 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
         shape = (1, rows.shape[1])
     state = DpmmState(rows.shape[1], alpha=alpha, beta_on=beta_on,
                       beta_off=beta_off)
-    stream = EntropyStream(ctx.obj["seed"])
-    for datum in rows:
-        stream_datum(state, datum, 0, stream)
     count_hist = {}
     assign_lines = ["sweep," + ",".join(f"d{i}" for i in range(rows.shape[0]))]
-    for sweep in range(burn_in + sweeps):
-        gibbs_sweep(state, stream)
-        if sweep >= burn_in:
-            k = len(state.clusters)
-            count_hist[k] = count_hist.get(k, 0) + 1
-            assign_lines.append(
-                f"{sweep - burn_in}," + ",".join(str(a) for a in state.assignments))
+    chain = gibbs_chain(state, rows, sweeps, burn_in, EntropyStream(ctx.obj["seed"]))
+    for sweep, _ in enumerate(chain):
+        k = len(state.clusters)
+        count_hist[k] = count_hist.get(k, 0) + 1
+        assign_lines.append(f"{sweep}," + ",".join(str(a) for a in state.assignments))
     hist_lines = ["clusters,count"] + [f"{k},{count_hist[k]}" for k in sorted(count_hist)]
     files = [("assignments.csv", "\n".join(assign_lines) + "\n"),
              ("cluster_counts.csv", "\n".join(hist_lines) + "\n")]
@@ -491,7 +486,7 @@ def selftest(ctx):
     check("entropy determinism", a == b)
     # theta frequency
     s = EntropyStream(seed)
-    freq = sum(s.next_bits(8) < 128 for _ in range(20000)) / 20000
+    freq = sum(theta_sample(128, 8, s) for _ in range(20000)) / 20000
     check("theta comparator near 0.5", abs(freq - 0.5) < 0.02)
     # discrete-sample gate vs declared distribution
     vec = EnergyVector.from_probs([0.5, 0.25, 0.125, 0.125], DEFAULT_FORMAT)

@@ -141,11 +141,11 @@ def fault_kl_report(graph: FactorGraph, rates=(0.0, 1e-4, 1e-3, 1e-2),
     for a ladder of register fault rates. The rate-0 row uses no fault model
     at all, so it doubles as the bit-identical baseline.
     """
+    faults = [FaultModel(rate) if rate != 0.0 else None for rate in rates]
     joint = enumerate_joint(graph)
     rows = []
-    for rate in rates:
+    for rate, fault in zip(rates, faults):
         assembly = compile(graph, fmt=fmt, seed=seed)
-        fault = FaultModel(rate) if rate > 0.0 else None
         trace = run(assembly, sweeps, fault=fault)
         kl = 0.0
         for name in graph.var_names:

@@ -14,6 +14,7 @@ sub-percent weight ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,10 @@ class DpmmState:
 
     def __init__(self, dim: int, alpha: float = 1.0,
                  beta_on: float = 0.5, beta_off: float = 0.5):
-        if alpha <= 0:
-            raise ConfigError(f"concentration must be positive, got {alpha}")
-        if beta_on <= 0 or beta_off <= 0:
-            raise ConfigError("beta pseudo-counts must be positive")
+        if not (0 < alpha < math.inf):
+            raise ConfigError(f"concentration must be finite and positive, got {alpha}")
+        if not (0 < beta_on < math.inf and 0 < beta_off < math.inf):
+            raise ConfigError("beta pseudo-counts must be finite and positive")
         if dim < 0:
             raise ConfigError(f"dimension must be nonnegative, got {dim}")
         self.dim = dim
@@ -49,7 +50,6 @@ class DpmmState:
         self.data: list[np.ndarray] = []
         self.assignments: list[int | None] = []
         self.clusters: dict[int, ClusterStats] = {}
-        self.founding: dict[int, int] = {}
         self.ingest_log: list[int] = []
         self._next_cluster = 0
 
@@ -77,7 +77,6 @@ class DpmmState:
         cid = self._next_cluster
         self._next_cluster += 1
         self.clusters[cid] = ClusterStats(0, np.zeros(self.dim, dtype=np.int64))
-        self.founding[cid] = cid
         return cid
 
     def assign(self, idx: int, cid: int | None):
@@ -103,7 +102,6 @@ class DpmmState:
         self.assignments[idx] = None
         if stats.count == 0:
             del self.clusters[cid]
-            del self.founding[cid]
 
     def cluster_ids(self) -> list[int]:
         return sorted(self.clusters)
@@ -192,9 +190,9 @@ def stream_datum(state: DpmmState, datum, inner_sweeps: int,
 
 
 def cluster_summaries(state: DpmmState) -> list[tuple[int, np.ndarray]]:
-    """(count, per-pixel on-probability) per cluster, largest first."""
-    order = sorted(state.clusters,
-                   key=lambda cid: (-state.clusters[cid].count, state.founding[cid]))
+    """(count, per-pixel on-probability) per cluster, largest first; ties go
+    to the older cluster (the lower id)."""
+    order = sorted(state.clusters, key=lambda cid: (-state.clusters[cid].count, cid))
     out = []
     for cid in order:
         stats = state.clusters[cid]
@@ -226,28 +224,35 @@ def read_idx_images(path, threshold: int = 128):
     return [vectors[i] for i in range(n)], (h, w)
 
 
-def run_batch(data, sweeps: int, stream: EntropyStream, alpha: float = 1.0,
-              beta_on: float = 0.5, beta_off: float = 0.5,
-              burn_in: int | None = None, fmt: EnergyFormat = DPMM_FORMAT):
-    """Batch Gibbs over a dataset; returns (state, partition trace).
-
-    Data are seeded into one cluster per datum's first conditional draw
-    (streamed in without inner sweeps), then swept. The trace holds the
-    canonical partition after each retained sweep.
-    """
-    data = list(data)
-    if not data:
-        raise ConfigError("empty dataset")
-    dim = np.asarray(data[0]).size
-    state = DpmmState(dim, alpha=alpha, beta_on=beta_on, beta_off=beta_off)
+def gibbs_chain(state: DpmmState, data, sweeps: int, burn_in: int,
+                stream: EntropyStream, fmt: EnergyFormat = DPMM_FORMAT):
+    """Batch Gibbs: stream each datum in (stream_datum, no inner sweeps),
+    then sweep burn_in + sweeps times, yielding state after each retained
+    sweep."""
+    if sweeps < 1:
+        raise ConfigError(f"need at least one sweep, got {sweeps}")
+    if burn_in < 0:
+        raise ConfigError(f"burn-in must be nonnegative, got {burn_in}")
     for datum in data:
-        idx = state.add_datum(datum)
-        _draw_assignment(state, idx, stream, fmt)
-    if burn_in is None:
-        burn_in = max(10, len(data))
-    partitions = []
+        stream_datum(state, datum, 0, stream, fmt)
     for sweep in range(burn_in + sweeps):
         gibbs_sweep(state, stream, fmt)
         if sweep >= burn_in:
-            partitions.append(state.partition())
+            yield state
+
+
+def run_batch(data, sweeps: int, stream: EntropyStream, alpha: float = 1.0,
+              beta_on: float = 0.5, beta_off: float = 0.5,
+              burn_in: int | None = None, fmt: EnergyFormat = DPMM_FORMAT):
+    """gibbs_chain over a dataset, burn_in defaulting to max(10, its size);
+    returns (state, the canonical partition after each retained sweep)."""
+    data = list(data)
+    if not data:
+        raise ConfigError("empty dataset")
+    state = DpmmState(np.asarray(data[0]).size, alpha=alpha, beta_on=beta_on,
+                      beta_off=beta_off)
+    if burn_in is None:
+        burn_in = max(10, len(data))
+    partitions = [s.partition()
+                  for s in gibbs_chain(state, data, sweeps, burn_in, stream, fmt)]
     return state, partitions

@@ -188,12 +188,8 @@ class ParallelGate(StochasticGate):
 
 
 def theta_sample(weight: int, m: int, stream: EntropyStream) -> int:
-    """One Bernoulli(weight / 2^m) draw via the comparator rule."""
-    if not 1 <= m <= 64:
-        raise ConfigError(f"weight width must be in [1, 64], got {m}")
-    if not 0 <= weight < (1 << m):
-        raise DomainError(f"weight {weight} outside [0, 2^{m})")
-    return 1 if stream.next_bits(m) < weight else 0
+    """One Bernoulli(weight / 2^m) draw: ThetaGate(m) on input weight."""
+    return ThetaGate(m).sample(weight, stream)
 
 
 def compose_serial(g1: StochasticGate, g2: StochasticGate) -> SerialGate:

@@ -84,36 +84,33 @@ def evidence_from_images(pair: ImagePair, d: int, mode: str = "stereo",
                          scale: float = EVIDENCE_SCALE) -> np.ndarray:
     """Per-site cost vectors: truncated absolute difference per candidate.
 
-    Stereo candidates are horizontal shifts 0..d-1 of the second image;
-    motion candidates are 2-D offsets in ring order. Out-of-bounds
-    candidates cost c_max (border rule).
+    Candidate k compares site (i, j) of the first image with site
+    (i + dy, j + dx) of the second for its offset (dy, dx): stereo
+    disparity k is the offset (0, -k), and motion candidates are 2-D
+    offsets in ring order. Out-of-bounds candidates cost c_max (border
+    rule).
     """
     if d < 1:
         raise ConfigError(f"need at least one candidate, got {d}")
     h, w = pair.first.shape
-    left = pair.first.astype(float)
-    right = pair.second.astype(float)
-    y = np.full((h, w, d), c_max)
     if mode == "stereo":
         if d > w:
             raise ConfigError(f"{d} disparity candidates exceed image width {w}")
-        for disp in range(d):
-            if disp == 0:
-                diff = np.abs(left - right)
-                y[:, :, 0] = np.minimum(diff, c_max)
-            else:
-                diff = np.abs(left[:, disp:] - right[:, :-disp])
-                y[:, disp:, disp] = np.minimum(diff, c_max)
+        offsets = [(0, -disp) for disp in range(d)]
     elif mode == "motion":
-        for k, (dy, dx) in enumerate(motion_offsets(d)):
-            ys = slice(max(0, -dy), min(h, h - dy))
-            xs = slice(max(0, -dx), min(w, w - dx))
-            ys2 = slice(max(0, dy), min(h, h + dy))
-            xs2 = slice(max(0, dx), min(w, w + dx))
-            diff = np.abs(left[ys, xs] - right[ys2, xs2])
-            y[ys, xs, k] = np.minimum(diff, c_max)
+        offsets = motion_offsets(d)
     else:
         raise ConfigError(f"unknown evidence mode {mode!r}")
+    left = pair.first.astype(float)
+    right = pair.second.astype(float)
+    y = np.full((h, w, d), c_max)
+    for k, (dy, dx) in enumerate(offsets):
+        ys = slice(max(0, -dy), min(h, h - dy))
+        xs = slice(max(0, -dx), min(w, w - dx))
+        ys2 = slice(max(0, dy), min(h, h + dy))
+        xs2 = slice(max(0, dx), min(w, w + dx))
+        diff = np.abs(left[ys, xs] - right[ys2, xs2])
+        y[ys, xs, k] = np.minimum(diff, c_max)
     return y / scale
 
 
@@ -143,6 +140,10 @@ class LatticeMRF:
             )
         if np.any(self.evidence < 0) or not np.all(np.isfinite(self.evidence)):
             raise ConfigError("evidence energies must be finite and nonnegative")
+        pair = self.smoothness_table()
+        if not np.isfinite(pair).all() or pair.max() <= 0.0:
+            raise ConfigError(f"lam={self.lam!r} and tau={self.tau!r} give a "
+                              "non-finite or all-zero smoothness table")
 
     def site_name(self, i: int, j: int) -> str:
         pad = len(str(max(self.height, self.width) - 1))
@@ -157,7 +158,8 @@ class LatticeMRF:
     def smoothness_table(self) -> np.ndarray:
         d = self.labels
         a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-        return np.exp2(-self.lam * np.minimum(np.abs(a - b), self.tau))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp2(-self.lam * np.minimum(np.abs(a - b), self.tau))
 
     def to_factor_graph(self) -> FactorGraph:
         """Unary evidence factors plus shared pairwise smoothness tables."""
@@ -181,9 +183,7 @@ class LatticeMRF:
     def total_energy(self, labels: np.ndarray) -> float:
         """Model energy of a label grid: evidence plus smoothness, in bits."""
         labels = np.asarray(labels)
-        ii, jj = np.meshgrid(np.arange(self.height), np.arange(self.width),
-                             indexing="ij")
-        e = self.evidence[ii, jj, labels].sum()
+        e = np.take_along_axis(self.evidence, labels[..., None], axis=2).sum()
         dh = np.abs(labels[:, 1:] - labels[:, :-1])
         dv = np.abs(labels[1:, :] - labels[:-1, :])
         e += self.lam * np.minimum(dh, self.tau).sum()
@@ -306,11 +306,14 @@ class _Checkerboard:
 
 def _ladder(sweeps: int, anneal, anneal_rungs: int) -> list[tuple[float, int]]:
     """(temperature, sweeps) per rung; anneal=None is one rung at T=1."""
+    if sweeps < 0:
+        raise ConfigError(f"sweeps must be nonnegative, got {sweeps}")
     if anneal is None:
         return [(1.0, sweeps)]
+    if len(anneal) != 2 or not all(np.isfinite(t) and t > 0 for t in anneal):
+        raise ConfigError(f"annealing needs two finite positive temperatures, "
+                          f"got {tuple(anneal)}")
     t_hi, t_lo = anneal
-    if t_hi <= 0 or t_lo <= 0:
-        raise ConfigError("annealing temperatures must be positive")
     rungs = max(1, min(anneal_rungs, sweeps))
     temps = np.geomspace(t_hi, t_lo, rungs)
     per = [sweeps // rungs + (1 if r < sweeps % rungs else 0) for r in range(rungs)]
@@ -321,16 +324,13 @@ def _solve(mrf: LatticeMRF, sweeps: int, seed: int, fmt: EnergyFormat | None,
            anneal, anneal_rungs: int, schedule: str):
     """solve(), plus the sampler that ran it; its streams() gives every
     site's final (stream word, draws consumed) in row-major order."""
-    pair = mrf.smoothness_table()
-    # a smoothness table the factor graph rejects (non-finite) or cannot
-    # specialize (all zero) takes the compiled path, which raises its error
-    if (schedule == "parallel" and fmt is not None and _lane_weights_fit(fmt, mrf.labels)
-            and np.isfinite(pair).all() and pair.max() > 0.0):
-        sampler = _Checkerboard(mrf, pair, fmt, seed)
+    ladder = _ladder(sweeps, anneal, anneal_rungs)
+    if schedule == "parallel" and fmt is not None and _lane_weights_fit(fmt, mrf.labels):
+        sampler = _Checkerboard(mrf, mrf.smoothness_table(), fmt, seed)
     else:
         sampler = _Compiled(mrf, fmt, seed, schedule)
     trace_energy = []
-    for temperature, n in _ladder(sweeps, anneal, anneal_rungs):
+    for temperature, n in ladder:
         if n >= 1:
             trace_energy.extend(mrf.total_energy(grid)
                                 for grid in sampler.sweeps(temperature, n))

@@ -20,20 +20,20 @@ import math
 from dataclasses import dataclass, field
 
 from .entropy import EntropyStream
-from .errors import ConfigError, NoSupportError
-from .lowprec import MULTIPLIER_BITS, EnergyVector, float_weights, integer_weights
-from .transition import GibbsKernel, TransitionAssembly, Trace, _no_support, _sweep
+from .errors import ConfigError
+from .lowprec import EnergyVector
+from .transition import GibbsKernel, TransitionAssembly, Trace, _sweep
 
 
-def _rates_from_raw(raws, fmt) -> list[float]:
-    weights = integer_weights(raws, fmt)
-    qmax = fmt.max_raw >> fmt.frac
-    scale = 2.0 ** -(qmax + MULTIPLIER_BITS)
-    return [w * scale for w in weights]
+def _rates(weights) -> list[float]:
+    """Weights scaled so the minimum-energy unit, the heaviest, has rate one."""
+    top = max(weights)
+    return [w / top for w in weights]
 
 
 def _race(rates, stream: EntropyStream):
-    """Draw first-spike times for positive rates; returns (winner, times)."""
+    """Draw first-spike times for the units of positive rate; returns
+    (winner, times). The rate-one unit always fires."""
     times = []
     winner = -1
     best = math.inf
@@ -47,14 +47,12 @@ def _race(rates, stream: EntropyStream):
         if t < best:
             best = t
             winner = i
-    if winner < 0:
-        raise NoSupportError("all energies saturated: no unit can fire")
     return winner, times
 
 
 def race_sample(energies: EnergyVector, stream: EntropyStream):
     """One race over an energy vector: (winner index, first-spike times)."""
-    return _race(_rates_from_raw(energies.raws, energies.fmt), stream)
+    return _race(_rates(energies.weights()), stream)
 
 
 @dataclass
@@ -93,16 +91,7 @@ def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,
 
     def update(name, snapshot, epoch):
         circ = assembly.circuits[name]
-        kernel = circ.kernel
-        energies = kernel.conditional_energies(snapshot)
-        try:
-            if kernel.fmt is None:
-                rates = float_weights(energies)
-            else:
-                rates = _rates_from_raw(energies, kernel.fmt)
-            winner, times = _race(rates, circ.stream)
-        except NoSupportError:
-            raise _no_support(name) from None
+        winner, times = _race(_rates(circ.kernel.weights(snapshot)), circ.stream)
         if record_raster:
             for unit, t in enumerate(times):
                 if math.isfinite(t):

@@ -208,20 +208,26 @@ class GibbsKernel:
             return [sat] * k
         return [sat if s < 0 else min(s - emin, sat - 1) for s in sums]
 
-    def step(self, current: int, snapshot, stream: EntropyStream) -> int:
+    def weights(self, snapshot) -> list:
+        """The conditional's exact integer weights (float weights on the
+        float path); the minimum-energy value has the largest weight."""
         energies = self.conditional_energies(snapshot)
         try:
             if self.fmt is None:
-                weights = float_weights(energies)
-                # left to right, as invert_cdf accumulates: the builtin sum
-                # of floats is compensated from Python 3.12 on
-                total = 0.0
-                for w in weights:
-                    total += w
-                return invert_cdf(weights, stream.next_unit() * total)
-            weights = integer_weights(energies, self.fmt)
+                return float_weights(energies)
+            return integer_weights(energies, self.fmt)
         except NoSupportError:
             raise _no_support(self.var) from None
+
+    def step(self, current: int, snapshot, stream: EntropyStream) -> int:
+        weights = self.weights(snapshot)
+        if self.fmt is None:
+            # left to right, as invert_cdf accumulates: the builtin sum of
+            # floats is compensated from Python 3.12 on
+            total = 0.0
+            for w in weights:
+                total += w
+            return invert_cdf(weights, stream.next_unit() * total)
         return invert_cdf(weights, stream.next_below(sum(weights)))
 
 
@@ -669,6 +675,8 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
         raise ConfigError(f"need at least one sweep, got {sweeps}")
     if thin < 1:
         raise ConfigError(f"thin must be >= 1, got {thin}")
+    if burn_in is not None and burn_in < 0:
+        raise ConfigError(f"burn-in must be nonnegative, got {burn_in}")
     if not assembly._validated:
         violations = validate_schedule(assembly)
         if violations:

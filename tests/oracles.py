@@ -152,3 +152,22 @@ def ambiguous_dataset():
     c1 = [0, 0, 0, 0, 1, 1, 1, 0]
     c2 = [0, 0, 0, 0, 1, 0, 0, 0]
     return [np.array(a)] * 6 + [np.array(b)] * 6 + [np.array(c1)] * 4 + [np.array(c2)] * 4
+
+
+def evidence_by_pixel(first, second, offsets, c_max, scale):
+    """Truncated absolute difference per site and candidate, pixel by pixel.
+
+    Candidate k of site (i, j) compares first[i, j] with second[i + dy, j + dx]
+    for offsets[k] = (dy, dx); a partner outside the image costs c_max.
+    """
+    h, w = first.shape
+    y = np.empty((h, w, len(offsets)))
+    for i in range(h):
+        for j in range(w):
+            for k, (dy, dx) in enumerate(offsets):
+                if 0 <= i + dy < h and 0 <= j + dx < w:
+                    cost = min(abs(float(first[i, j]) - float(second[i + dy, j + dx])), c_max)
+                else:
+                    cost = c_max
+                y[i, j, k] = cost / scale
+    return y

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -444,3 +445,70 @@ def test_precision_sweep_per_bin_zero_exit_6(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "at least one distribution per bin" in result.output
     assert not (out / "precision_sweep.csv").exists()
+
+
+def _invoke_rejected(runner, tmp_path, model_file, args):
+    """Invoke args with numpy warnings as errors; the run must exit 6 and
+    write no artifact. Returns the output."""
+    pair, _ = random_dot_stereogram(6, 6, 1, seed=0)
+    data = tmp_path / "data.txt"
+    data.write_text("1 0 1 0\n1 0 1 1\n0 1 0 1\n")
+    paths = {"model": model_file, "data": data,
+             "left": tmp_path / "l.pgm", "right": tmp_path / "r.pgm"}
+    write_pgm(paths["left"], pair.first)
+    write_pgm(paths["right"], pair.second)
+    out = tmp_path / "out"
+    argv = ["--out-dir", str(out)] + [a.format(**paths) for a in args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, argv)
+    assert result.exit_code == 6, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists() or list(out.iterdir()) == []
+    return result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["query", "{model}", "--sweeps", "10", "--burn-in", "-5"], "burn-in must be"),
+    (["run", "{model}", "--sweeps", "10", "--burn-in", "-5"], "burn-in must be"),
+    (["spike", "run", "{model}", "--sweeps", "10", "--burn-in", "-5"], "burn-in must be"),
+    (["dpmm", "run", "{data}", "--sweeps", "2", "--burn-in", "-3"], "burn-in must be"),
+    (["dpmm", "run", "{data}", "--sweeps", "0"], "at least one sweep"),
+    (["dpmm", "run", "{data}", "--sweeps", "-2"], "at least one sweep"),
+], ids=["query", "run", "spike", "dpmm-burn-in", "dpmm-sweeps-0", "dpmm-sweeps-neg"])
+def test_negative_burn_in_or_no_sweeps_exit_6(runner, tmp_path, model_file, args, message):
+    assert message in _invoke_rejected(runner, tmp_path, model_file, args)
+
+
+@pytest.mark.parametrize("args", [
+    ["--anneal", "2"], ["--anneal", "2,1,0.5"], ["--anneal", "2,nan"],
+    ["--anneal", "2,inf"], ["--anneal", "0,1"], ["--sweeps", "-4"],
+])
+def test_bad_anneal_ladder_or_sweep_count_exit_6(runner, tmp_path, model_file, args):
+    _invoke_rejected(runner, tmp_path, model_file,
+                     ["stereo", "{left}", "{right}", "-d", "3", "--sweeps", "4"] + args)
+
+
+@pytest.mark.parametrize("mode", ["stereo", "motion"])
+@pytest.mark.parametrize("args", [["--lam", "nan"], ["--tau", "nan"], ["--lam", "-2000"],
+                                  ["--lam", "inf"]])
+def test_bad_smoothness_options_exit_6_without_warnings(runner, tmp_path, model_file,
+                                                        mode, args):
+    output = _invoke_rejected(runner, tmp_path, model_file,
+                              [mode, "{left}", "{right}", "-d", "3", "--sweeps", "4"] + args)
+    assert "smoothness table" in output
+
+
+@pytest.mark.parametrize("rates", ["0,-0.5", "0,nan", "1.5"])
+def test_fault_rate_outside_unit_interval_exit_6(runner, tmp_path, model_file, rates):
+    output = _invoke_rejected(runner, tmp_path, model_file,
+                              ["fault-report", "{model}", "--sweeps", "10", "--rates", rates])
+    assert "bit flip rate must be in [0, 1]" in output
+
+
+@pytest.mark.parametrize("args", [["--alpha", "nan"], ["--alpha", "inf"],
+                                  ["--beta-on", "nan"], ["--beta-off", "inf"]])
+def test_non_finite_dpmm_prior_exit_6(runner, tmp_path, model_file, args):
+    output = _invoke_rejected(runner, tmp_path, model_file,
+                              ["dpmm", "run", "{data}", "--sweeps", "2"] + args)
+    assert "finite and positive" in output

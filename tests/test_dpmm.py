@@ -215,3 +215,43 @@ def test_idx_reader_rejects_garbage(tmp_path):
         from stochcirc.dpmm import read_idx_images
 
         read_idx_images(path)
+
+
+@pytest.mark.parametrize("prior", [{"alpha": float("nan")}, {"alpha": float("inf")},
+                                   {"beta_on": float("nan")}, {"beta_off": float("inf")}])
+def test_state_rejects_non_finite_priors(prior):
+    with pytest.raises(ConfigError, match="finite and positive"):
+        DpmmState(4, **prior)
+
+
+@pytest.mark.parametrize("sweeps, burn_in", [(0, 0), (-2, 0), (3, -1)])
+def test_batch_needs_a_sweep_and_a_nonnegative_burn_in(sweeps, burn_in):
+    with pytest.raises(ConfigError):
+        run_batch(FOUR_POINT_DATA, sweeps, EntropyStream(1), burn_in=burn_in)
+
+
+def test_batch_is_the_chain_after_streaming_each_datum_in():
+    stream = EntropyStream(13)
+    state, parts = run_batch(FOUR_POINT_DATA, 5, stream, burn_in=2)
+    ref, ref_stream = DpmmState(2), EntropyStream(13)
+    for datum in FOUR_POINT_DATA:
+        stream_datum(ref, datum, 0, ref_stream)
+    ref_parts = []
+    for sweep in range(7):
+        gibbs_sweep(ref, ref_stream)
+        if sweep >= 2:
+            ref_parts.append(ref.partition())
+    assert parts == ref_parts
+    assert state.assignments == ref.assignments
+    assert (stream.state, stream.draws_consumed) == (ref_stream.state,
+                                                     ref_stream.draws_consumed)
+
+
+def test_summaries_break_ties_by_cluster_id():
+    state = DpmmState(2)
+    for datum in ([1, 1], [0, 0], [1, 0]):
+        state.assign(state.add_datum(datum), None)
+    state.remove(0)
+    state.assign(0, None)   # the [1, 1] datum refounds as the newest cluster
+    assert [probs.tolist() for _, probs in cluster_summaries(state)] == [
+        [0.25, 0.25], [0.75, 0.25], [0.75, 0.75]]

@@ -229,3 +229,14 @@ def test_table_gate_clamps_a_short_row_to_the_last_output():
     assert gate.sample(0, FixedUnitStream(1.0 - 2.0 ** -53)) == 1
     assert gate.sample(0, FixedUnitStream(0.25)) == 0
     assert gate.sample(0, FixedUnitStream(0.5)) == 1
+
+
+def test_theta_sample_is_the_theta_gate():
+    s1, s2 = EntropyStream(44), EntropyStream(44)
+    gate = ThetaGate(5)
+    assert ([theta_sample(k % 32, 5, s1) for k in range(300)]
+            == [gate.sample(k % 32, s2) for k in range(300)])
+    with pytest.raises(DomainError, match=r"input 32 outside \[0, 2\^5\)"):
+        theta_sample(32, 5, s1)
+    with pytest.raises(ConfigError):
+        theta_sample(0, 65, s1)

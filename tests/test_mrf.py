@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,37 @@ def test_pgm_rejects_non_p5(tmp_path):
     path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(ConfigError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("lam, tau, labels", [
+    (float("nan"), 2.0, 3), (1.0, float("nan"), 3), (-2000.0, 2.0, 3),
+    (float("inf"), 2.0, 3), (-2000.0, -5.0, 1),   # the last table is all zero
+])
+def test_lattice_rejects_a_bad_smoothness_table_without_warnings(lam, tau, labels):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError, match="smoothness table"):
+            LatticeMRF(2, 2, labels, np.zeros((2, 2, labels)), lam=lam, tau=tau)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"anneal": (2.0,)}, {"anneal": (2.0, 1.0, 0.5)}, {"anneal": (2.0, float("nan"))},
+    {"anneal": (float("inf"), 0.1)}, {"anneal": (0.0, 0.1)}, {"sweeps": -4},
+    {"sweeps": -4, "anneal": None},
+])
+def test_solve_rejects_a_bad_ladder(kwargs):
+    m = LatticeMRF(2, 3, 2, np.zeros((2, 3, 2)))
+    with pytest.raises(ConfigError):
+        solve(m, **{"sweeps": 4, **kwargs})
+
+
+def test_total_energy_by_site():
+    rng = np.random.default_rng(7)
+    m = LatticeMRF(4, 5, 3, rng.uniform(0.0, 3.0, size=(4, 5, 3)), lam=0.8, tau=1.5)
+    labels = rng.integers(0, 3, size=(4, 5))
+    expected = sum(m.evidence[i, j, labels[i, j]] for i in range(4) for j in range(5))
+    expected += sum(smoothness_energy(labels[i, j], labels[i, j + 1], 0.8, 1.5)
+                    for i in range(4) for j in range(4))
+    expected += sum(smoothness_energy(labels[i, j], labels[i + 1, j], 0.8, 1.5)
+                    for i in range(3) for j in range(5))
+    assert m.total_energy(labels) == pytest.approx(expected, rel=1e-12)

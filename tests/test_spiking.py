@@ -194,3 +194,21 @@ def test_random_scan_spiking_follows_scan_stream():
     assert [e for e, _t, _v, _u in raster.transitions] == list(range(draws))
     emp = trace.empirical_joint([2, 2, 2])
     assert total_variation(emp.reshape(-1), joint.reshape(-1)) < 0.02
+
+
+def test_race_on_a_wide_word_format():
+    # (10, 0) weights exceed the float range; rates are weights over the
+    # largest one, so the minimum-energy unit still has rate one
+    vec = EnergyVector([0, 1, 1023], EnergyFormat(10, 0))
+    s = EntropyStream(7)
+    counts = np.zeros(3)
+    for _ in range(30_000):
+        winner, times = race_sample(vec, s)
+        counts[winner] += 1
+        assert math.isinf(times[2])
+    assert total_variation(counts / counts.sum(), vec.declared_distribution()) < 0.01
+
+
+def test_spiking_rejects_negative_burn_in():
+    with pytest.raises(ConfigError, match="burn-in must be nonnegative"):
+        simulate_spiking_assembly(compile_graph(fork_graph()), 10, burn_in=-5)

@@ -360,3 +360,14 @@ def test_float_gibbs_totals_the_weights_left_to_right():
     u = 1.0 - 2.0 ** -53
     assert invert_cdf(weights, u * math.fsum(weights)) == 3
     assert kernel.step(0, {"X": 0}, FixedUnitStream(u)) == 0
+
+
+def test_negative_burn_in_is_rejected():
+    with pytest.raises(ConfigError, match="burn-in must be nonnegative"):
+        run(make_assembly(fork_graph()), 10, burn_in=-5)
+
+
+@pytest.mark.parametrize("rate", [-0.5, float("nan"), 1.5])
+def test_fault_report_checks_every_nonzero_rate(rate):
+    with pytest.raises(ConfigError, match="bit flip rate"):
+        fault_kl_report(fork_graph(), rates=(0.0, rate), sweeps=10)
