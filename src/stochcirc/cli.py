@@ -425,6 +425,8 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
     if image_shape:
         h, _, w = image_shape.partition("x")
         shape = (_number(h, int, "--image-shape"), _number(w, int, "--image-shape"))
+        if min(shape) < 1:
+            raise ShapeError(f"--image-shape sizes must be at least 1, got {image_shape}")
         if shape[0] * shape[1] != rows.shape[1]:
             raise ShapeError(f"--image-shape {image_shape} does not hold "
                              f"{rows.shape[1]} pixels")

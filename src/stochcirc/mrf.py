@@ -13,16 +13,17 @@ checkerboard, and solving runs annealed Gibbs through the transition
 module.
 
 For a fixed-point format whose weights fit the lane kernel and the
-parallel schedule, solve() skips the factor graph: it lowers the lattice
-straight to the two checkerboard lane groups (one table of specialized
-energy rows, index arrays for the 4-stencil, one uint64 stream word per
-site) and keeps them loaded for the whole annealing ladder, requantizing
-the table once per rung. Chromatic Gibbs is exact when each color class
-updates in parallel against the other's state, and the lowering repeats
-the compiled path's rows, streams, coloring and draws, so its labels,
-energies and stream words are bit-identical to to_factor_graph, compile
-and run. The float path, the serial and random-scan schedules and wider
-formats take that compiled path.
+parallel schedule, solve() skips the factor graph: it builds the two
+checkerboard color classes as transition._LaneGroup lanes over one label
+vector (one table of specialized energy rows, index arrays for the
+4-stencil, one uint64 stream word per site), keeps them loaded for the
+whole annealing ladder, and requantizes the table once per rung. Each
+sweep is two calls of the lane step that compiled assemblies run too.
+Chromatic Gibbs is exact when each color class updates in parallel against
+the other's state, and the lowering repeats the compiled path's rows,
+streams, coloring and draws, so its labels, energies and stream words are
+bit-identical to to_factor_graph, compile and run. The float path, the
+serial and random-scan schedules and wider formats take that compiled path.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ from .entropy import fork_states
 from .errors import ConfigError, NoSupportError, ShapeError
 from .factorgraph import Factor, FactorGraph, Variable
 from .lowprec import DEFAULT_FORMAT, EnergyFormat
-from .transition import (
-    _energy_rows,
-    _lane_gibbs,
-    _lane_weights_fit,
-    _no_support,
-    _quantize_rows,
-    run,
-)
+from .transition import _energy_rows, _lane_weights_fit, _LaneGroup, _quantize_rows, run
 
 EVIDENCE_CAP = 32.0       # gray levels; bounds energies for fixed point
 EVIDENCE_SCALE = 8.0      # gray levels per bit of energy
@@ -231,16 +225,16 @@ class _Compiled:
 class _Checkerboard:
     """A lattice lowered straight to its two checkerboard lane groups.
 
-    Sites are numbered row-major. The float table holds every site's unary
-    rows, the smoothness rows a site reads for its east or south neighbor
-    (the pair table's first axis is the site's), those for its west or
-    north neighbor (its second axis), and a zero block. Each site has five
-    parts: its unary rows and one per stencil neighbor, where a missing
-    neighbor reads the zero block; part p's row starts at offset[s, p] +
-    label[nbr[s, p]] * stride[s, p]. These are the rows, and the
-    (sorted-name, so row-major) stream forks, that compile gives each site.
-    Group 0 is the greedy coloring's color 0: the parity of the first site
-    of maximum degree.
+    Sites are numbered row-major, and the lanes' value vector is the label
+    vector state. The float table holds every site's unary rows, the
+    smoothness rows a site reads for its east or south neighbor (the pair
+    table's first axis is the site's), those for its west or north neighbor
+    (its second axis), and a zero block. Each site has five parts: its unary
+    rows and one per stencil neighbor, where a missing neighbor reads the
+    zero block; part p's row starts at offset[s, p] + label[nbr[s, p]] *
+    stride[s, p]. These are the rows, and the (sorted-name, so row-major)
+    stream forks, that compile gives each site. Group 0 is the greedy
+    coloring's color 0: the parity of the first site of maximum degree.
     """
 
     def __init__(self, mrf: LatticeMRF, pair: np.ndarray, fmt: EnergyFormat, seed: int):
@@ -270,37 +264,35 @@ class _Checkerboard:
         degree = sum(ok.astype(int) for ok, _, _ in stencil)
         parity = (row + col) % 2
         color = parity != parity[degree.argmax()]
-        self.groups = [(g, nbr[g], stride[g], offset[g], states[g], np.zeros(g.size, np.int64))
+        pad = np.zeros((1, d), bool)
+
+        def name(site: int) -> str:
+            return mrf.site_name(*divmod(site, w))
+
+        self.groups = [_LaneGroup(g, nbr[g], stride[g], offset[g], pad, states[g], name)
                        for g in (sites[~color], sites[color]) if g.size]
-        self.pad = np.zeros((1, d), bool)
         self.fmt = fmt
-        self.mrf = mrf
+        self.shape = (h, w)
         self.state = np.zeros(n, np.int64)
 
     def sweeps(self, temperature: float, n: int):
         """n sweeps at temperature; yields the live label grid after each."""
         table = _quantize_rows(self.float_table, self.fmt, temperature)
-        labels = self.state
-        grid = labels.reshape(self.mrf.height, self.mrf.width)
+        grid = self.state.reshape(self.shape)
         for _ in range(n):
-            for sites, nbr, stride, offset, lanes, draws in self.groups:
-                drawn = _lane_gibbs(table, offset + labels[nbr] * stride, self.pad,
-                                    self.fmt, lanes, draws)
-                labels[sites[:drawn.size]] = drawn
-                if drawn.size < sites.size:
-                    i, j = divmod(int(sites[drawn.size]), self.mrf.width)
-                    raise _no_support(self.mrf.site_name(i, j))
+            for group in self.groups:
+                group.step(table, self.fmt, self.state)
             yield grid
 
     def labels(self) -> np.ndarray:
-        return self.state.reshape(self.mrf.height, self.mrf.width).copy()
+        return self.state.reshape(self.shape).copy()
 
     def streams(self) -> list[tuple[int, int]]:
         words = np.empty(self.state.size, np.uint64)
         draws = np.empty(self.state.size, np.int64)
-        for sites, _, _, _, lanes, lane_draws in self.groups:
-            words[sites] = lanes
-            draws[sites] = lane_draws
+        for group in self.groups:
+            words[group.sites] = group.words
+            draws[group.sites] = group.draws
         return list(zip(words.tolist(), draws.tolist()))
 
 

@@ -16,11 +16,13 @@ without changing any conditional distribution. Zero weights are saturated
 built with one tables mapping specialize each distinct (table, axis) once
 and share its read-only row block.
 
-A wide group of fixed-point Gibbs circuits runs as lanes: one numpy step
-updates every live circuit of the group, with each circuit's xorshift
-stream held as one uint64 lane. The lanes repeat the scalar kernel's
-integer arithmetic and draws exactly, so traces, registers and streams are
-bit-identical to updating the circuits one at a time.
+A wide color class of fixed-point Gibbs circuits runs as lanes: a _LaneGroup
+holds it as index arrays into one table of energy rows and into an int64
+value vector, with one uint64 xorshift word per circuit, and its one step
+updates every lane at once, bit-identical to updating the circuits one at a
+time. _lower lowers an assembly's wide groups once; each run binds their
+live members and quantizes their tables. mrf lowers a lattice straight to
+its two checkerboard groups.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ from .lowprec import (
 LANE_MIN_WIDTH = 16
 #: Lane weights are int64: Qmax + MULTIPLIER_BITS + ceil(log2 K) must fit.
 LANE_WEIGHT_BITS = 62
+#: GibbsKernel refuses a format whose exact weights, Qmax + MULTIPLIER_BITS
+#: bits wide, exceed this. Every draw computes with integers that wide, so
+#: (32,0), whose weights have about 2^32 bits, would never finish a sweep;
+#: (12,1) and (10,0) are admitted, (12,0) is not.
+GIBBS_WEIGHT_BITS = 4096
 
 
 def _specialized_energy_table(factor: Factor, var: str):
@@ -157,6 +164,10 @@ class GibbsKernel:
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
                  tables: dict | None = None):
+        if (fmt is not None
+                and (fmt.max_raw >> fmt.frac) + MULTIPLIER_BITS > GIBBS_WEIGHT_BITS):
+            raise ConfigError(f"format ({fmt.bits},{fmt.frac}) gives Gibbs weights wider "
+                              f"than {GIBBS_WEIGHT_BITS} bits")
         self.parts = _kernel_parts(var, arity, factors, tables)
         self.var = var
         self.arity = arity
@@ -307,16 +318,6 @@ class MhKernel:
         return proposed if stream.next_unit() < 2.0 ** diff else current
 
 
-def gibbs_kernel_from_factors(var: str, arity: int, factors,
-                              fmt: EnergyFormat | None = None) -> GibbsKernel:
-    return GibbsKernel(var, arity, factors, fmt)
-
-
-def mh_kernel(var: str, arity: int, factors, fmt: EnergyFormat | None = None,
-              proposal=None) -> MhKernel:
-    return MhKernel(var, arity, factors, fmt, proposal)
-
-
 @dataclass
 class FaultModel:
     """Independent per-bit register flips applied after each transition."""
@@ -365,7 +366,7 @@ class TransitionAssembly:
             self.state[name] = value
         self.meta = dict(meta or {})
         self._validated = False
-        self._lanes = None  # {group index: _LaneGroup}, lowered on first run
+        self._lanes = None  # _lower(self), built on the first run
 
     def _check_value(self, name, value):
         if name not in self.circuits:
@@ -490,67 +491,97 @@ def _lane_below(bound: np.ndarray, lanes: np.ndarray, draws: np.ndarray) -> np.n
     return out
 
 
-def _lane_gibbs(table: np.ndarray, base: np.ndarray, pad: np.ndarray,
-                fmt: EnergyFormat, lanes: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """GibbsKernel.step on every lane at once: the one lane kernel.
-
-    Lane m's energy for candidate v is the sum over its parts p of
-    table[base[m, p] + v] (raw words at the run's temperature); pad, which
-    broadcasts against (lanes, candidates), masks candidates past a lane's
-    arity. lanes and draws are each lane's xorshift word and draw count,
-    advanced in place. Returns the drawn values of the lanes before the
-    first one whose conditional has no support, so the result is shorter
-    than base exactly when one is empty, as the scalar path updates in
-    order and stops there.
-    """
-    sat = fmt.max_raw
-    candidates = np.arange(pad.shape[1])
-    # part by part: numpy reduces a short middle axis far slower than it adds
-    sums = table[base[:, 0, None] + candidates]
-    dead = pad | (sums == sat)
-    for p in range(1, base.shape[1]):
-        raw = table[base[:, p, None] + candidates]
-        sums += raw
-        dead |= raw == sat
-    emin = np.where(dead, np.iinfo(np.int64).max, sums).min(axis=1, keepdims=True)
-    energy = np.clip(sums - emin, 0, sat - 1)
-    multipliers = np.asarray(_multiplier_table(fmt.frac)[0], np.int64)
-    weights = np.where(
-        dead, 0,
-        multipliers[energy & ((1 << fmt.frac) - 1)]
-        << ((sat >> fmt.frac) - (energy >> fmt.frac)))
-    empty = dead.all(axis=1)
-    stop = int(empty.argmax()) if empty.any() else len(base)
-    cdf = np.cumsum(weights[:stop], axis=1)
-    u = _lane_below(cdf[:, -1], lanes, draws)
-    return np.argmax(u[:, None] < cdf, axis=1)
-
-
 class _LaneGroup:
-    """A schedule group of fixed-point Gibbs circuits lowered to index arrays.
+    """A color class of fixed-point Gibbs circuits as lanes: the one lane kernel.
 
-    Member m's energy for candidate v is the sum over its parts p of
-    table[offset[m, p] + sum_t value(reads[nbr[m, p, t]]) * stride[m, p, t] + v],
-    exactly the scalar kernel's part sum. The table holds every distinct
-    specialized row block of the group once, as float energies, followed by a
-    zero block that padding parts read; candidates past a member's arity are
-    masked to the sentinel.
+    Lane m updates values[sites[m]] of an int64 value vector. Its energy for
+    candidate v is the sum over its parts p of table[base[m, p] + v], where
+    base[m, p] = offset[m, p] + sum_t values[nbr[m, p, t]] * stride[m, p, t]
+    and table holds raw words at the run's temperature: exactly the scalar
+    kernel's part sum. Where every part reads at most one neighbor, nbr and
+    stride may drop their last axis. pad, which broadcasts against (lanes,
+    candidates), masks candidates past a lane's arity. words and draws are
+    each lane's xorshift stream word and draw count, advanced in place, and
+    name(site) names the variable at a site.
     """
 
-    def __init__(self, names, circuits):
-        kernels = [circuits[n].kernel for n in names]
-        self.names = list(names)
-        self.kernels = kernels
-        self.streams = [circuits[n].stream for n in names]
-        self.fmt = kernels[0].fmt
+    def __init__(self, sites, nbr, stride, offset, pad, words, name):
+        self.sites = sites
+        self.nbr = nbr
+        self.stride = stride
+        self.offset = offset
+        self.pad = pad
+        self.words = np.array(words, np.uint64)
+        self.draws = np.zeros(len(sites), np.int64)
+        self.name = name
+
+    def step(self, table: np.ndarray, fmt: EnergyFormat, values: np.ndarray):
+        """GibbsKernel.step on every lane, all reading values as they stand.
+
+        The drawn values are written to values[sites]. As the scalar path
+        updates in order and stops at the first conditional with no support,
+        only the lanes before the first empty one draw and are written, and
+        the NoSupportError names that lane's variable.
+        """
+        base = values[self.nbr] * self.stride
+        if base.ndim == 3:
+            base = base.sum(axis=2)
+        base += self.offset
+        sat = fmt.max_raw
+        candidates = np.arange(self.pad.shape[1])
+        # part by part: numpy reduces a short middle axis far slower than it adds
+        sums = table[base[:, 0, None] + candidates]
+        dead = self.pad | (sums == sat)
+        for p in range(1, base.shape[1]):
+            raw = table[base[:, p, None] + candidates]
+            sums += raw
+            dead |= raw == sat
+        emin = np.where(dead, np.iinfo(np.int64).max, sums).min(axis=1, keepdims=True)
+        energy = np.clip(sums - emin, 0, sat - 1)
+        multipliers = np.asarray(_multiplier_table(fmt.frac)[0], np.int64)
+        weights = np.where(
+            dead, 0,
+            multipliers[energy & ((1 << fmt.frac) - 1)]
+            << ((sat >> fmt.frac) - (energy >> fmt.frac)))
+        empty = dead.all(axis=1)
+        stop = int(empty.argmax()) if empty.any() else len(base)
+        cdf = np.cumsum(weights[:stop], axis=1)
+        u = _lane_below(cdf[:, -1], self.words, self.draws)
+        values[self.sites[:stop]] = np.argmax(u[:, None] < cdf, axis=1)
+        if stop < len(base):
+            raise _no_support(self.name(int(self.sites[stop])))
+
+
+def _lower(assembly: TransitionAssembly) -> dict:
+    """{group index: (names, reads, arrays, float table)} for each group the
+    lane kernel can take; built once per assembly.
+
+    A group qualifies when it has at least LANE_MIN_WIDTH circuits, all
+    fixed-point Gibbs kernels of one format whose integer weights fit
+    LANE_WEIGHT_BITS, and no name appears twice in the schedule. arrays are
+    the members' nbr, stride, offset and pad as _LaneGroup takes them, nbr
+    indexing reads, the names the group reads. The float table holds every
+    distinct specialized row block of the group once, as float energies,
+    followed by a zero block that padding parts read.
+    """
+    names = [n for group in assembly.schedule for n in group]
+    if len(set(names)) != len(names):
+        return {}
+    lowered = {}
+    for gi, group in enumerate(assembly.schedule):
+        if len(group) < LANE_MIN_WIDTH:
+            continue
+        kernels = [assembly.circuits[n].kernel for n in group]
+        fmt = kernels[0].fmt
         k = max(kern.arity for kern in kernels)
+        if fmt is None or not _lane_weights_fit(fmt, k) or any(
+                type(kern) is not GibbsKernel or kern.fmt != fmt for kern in kernels):
+            continue
         n_parts = max(1, max(len(kern.parts) for kern in kernels))
         width = max((len(p.neighbors) for kern in kernels for p in kern.parts), default=0)
-        shape = (len(names), n_parts, width)
-        self.nbr = np.zeros(shape, np.int64)
-        self.stride = np.zeros(shape, np.int64)
-        self.offset = np.full(shape[:2], -1, np.int64)
-        self.reads: list[str] = []
+        nbr = np.zeros((len(group), n_parts, width), np.int64)
+        stride = np.zeros_like(nbr)
+        offset = np.full(nbr.shape[:2], -1, np.int64)
         read_at: dict[str, int] = {}
         blocks: list[np.ndarray] = []
         block_at: dict[int, int] = {}  # id of a shared read-only row block
@@ -562,98 +593,43 @@ class _LaneGroup:
                     block_at[key] = size
                     blocks.append(part.float_rows)
                     size += part.float_rows.size
-                self.offset[m, j] = block_at[key]
-                for t, (name, stride) in enumerate(zip(part.neighbors, part.strides)):
-                    if name not in read_at:
-                        read_at[name] = len(self.reads)
-                        self.reads.append(name)
-                    self.nbr[m, j, t] = read_at[name]
-                    self.stride[m, j, t] = stride
-        self.offset[self.offset < 0] = size
+                offset[m, j] = block_at[key]
+                for t, (name, s) in enumerate(zip(part.neighbors, part.strides)):
+                    nbr[m, j, t] = read_at.setdefault(name, len(read_at))
+                    stride[m, j, t] = s
+        offset[offset < 0] = size
         blocks.append(np.zeros(k))
-        self.float_table = np.concatenate(blocks)
-        self.pad = np.arange(k) >= np.array([[kern.arity] for kern in kernels])
-        self.temperature = None
-        self.table = None
-
-    def bind(self, live: list[int], temperature: float) -> "_Lanes":
-        """The live members as lanes for one run, the table at temperature."""
-        if temperature != self.temperature:
-            self.table = _quantize_rows(self.float_table, self.fmt, temperature)
-            self.temperature = temperature
-        return _Lanes(self, live)
-
-
-class _Lanes:
-    """A lane group's live circuits during one run.
-
-    Each circuit's stream is one uint64 lane; store() writes the lanes back
-    into the streams.
-    """
-
-    def __init__(self, group: _LaneGroup, live: list[int]):
-        self.group = group
-        self.names = [group.names[i] for i in live]
-        self.streams = [group.streams[i] for i in live]
-        self.nbr = group.nbr[live]
-        self.stride = group.stride[live]
-        self.offset = group.offset[live]
-        self.pad = group.pad[live]
-        self.lanes = np.array([s.state for s in self.streams], np.uint64)
-        self.draws = np.zeros(len(live), np.int64)
-
-    def store(self):
-        for stream, state, draws in zip(self.streams, self.lanes.tolist(),
-                                        self.draws.tolist()):
-            stream.state = state
-            stream.draws_consumed += draws
-
-    def step(self, state: dict):
-        """GibbsKernel.step for every lane, all reading the group-start state."""
-        group = self.group
-        values = np.fromiter(map(state.__getitem__, group.reads), np.int64,
-                             len(group.reads))
-        base = self.offset + (values[self.nbr] * self.stride).sum(axis=2)
-        drawn = _lane_gibbs(group.table, base, self.pad, group.fmt, self.lanes, self.draws)
-        state.update(zip(self.names, drawn.tolist()))
-        if len(drawn) < len(self.names):
-            raise _no_support(self.names[len(drawn)])
-
-
-def _lower(assembly: TransitionAssembly) -> dict:
-    """{group index: _LaneGroup} for each group the lane kernel can take.
-
-    A group qualifies when it has at least LANE_MIN_WIDTH circuits, all
-    fixed-point Gibbs kernels of one format whose integer weights fit
-    LANE_WEIGHT_BITS, and no name appears twice in the schedule.
-    """
-    names = [n for group in assembly.schedule for n in group]
-    if len(set(names)) != len(names):
-        return {}
-    lowered = {}
-    for gi, group in enumerate(assembly.schedule):
-        if len(group) < LANE_MIN_WIDTH:
-            continue
-        kernels = [assembly.circuits[n].kernel for n in group]
-        fmt = kernels[0].fmt
-        if fmt is None or any(type(k) is not GibbsKernel or k.fmt != fmt for k in kernels):
-            continue
-        if not _lane_weights_fit(fmt, max(kern.arity for kern in kernels)):
-            continue
-        lowered[gi] = _LaneGroup(group, assembly.circuits)
+        pad = np.arange(k) >= np.array([[kern.arity] for kern in kernels])
+        lowered[gi] = (list(group), list(read_at), (nbr, stride, offset, pad),
+                       np.concatenate(blocks))
     return lowered
 
 
 def _bind_lanes(assembly: TransitionAssembly) -> dict:
-    """{group index: _Lanes} for the lowered groups wide enough this run."""
+    """{group index: (_LaneGroup, table, fmt, index)} for the lowered groups
+    with at least LANE_MIN_WIDTH live circuits, all at one temperature.
+
+    The lanes are the live circuits, with their stream words loaded. They
+    read a value vector over index, the live names followed by the group's
+    reads, and write its head; table is the group's float table quantized
+    at the temperature.
+    """
     if assembly._lanes is None:
         assembly._lanes = _lower(assembly)
     bound = {}
-    for gi, group in assembly._lanes.items():
-        live = [i for i, n in enumerate(group.names) if n not in assembly.clamped]
-        temperatures = {group.kernels[i].temperature for i in live}
+    for gi, (names, reads, arrays, float_table) in assembly._lanes.items():
+        live = [m for m, name in enumerate(names) if name not in assembly.clamped]
+        circuits = [assembly.circuits[names[m]] for m in live]
+        temperatures = {c.kernel.temperature for c in circuits}
         if len(live) >= LANE_MIN_WIDTH and len(temperatures) == 1:
-            bound[gi] = group.bind(live, temperatures.pop())
+            index = [c.var for c in circuits] + reads
+            at = np.array(live)
+            nbr, stride, offset, pad = (a[at] for a in arrays)
+            group = _LaneGroup(np.arange(len(live)), nbr + len(live), stride, offset, pad,
+                               [c.stream.state for c in circuits], index.__getitem__)
+            fmt = circuits[0].kernel.fmt
+            table = _quantize_rows(float_table, fmt, temperatures.pop())
+            bound[gi] = (group, table, fmt, index)
     return bound
 
 
@@ -712,7 +688,14 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
             else:
                 for gi, live in enumerate(groups):
                     if gi in bound:
-                        bound[gi].step(state)
+                        group, table, fmt, index = bound[gi]
+                        values = np.fromiter(map(state.__getitem__, index), np.int64,
+                                             len(index))
+                        try:
+                            group.step(table, fmt, values)
+                        finally:
+                            # sites are 0, 1, ... and index starts with the live names
+                            state.update(zip(index, values[group.sites].tolist()))
                     elif live:
                         snapshot = dict(state)
                         for name in live:
@@ -721,8 +704,12 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
             if sweep >= burn_in and (sweep - burn_in) % thin == 0:
                 rows.append(tuple(state[n] for n in var_names))
     finally:
-        for lane_group in bound.values():
-            lane_group.store()
+        for group, _, _, index in bound.values():
+            words, draws = group.words.tolist(), group.draws.tolist()
+            for name, word, count in zip(index, words, draws):
+                stream = assembly.circuits[name].stream
+                stream.state = word
+                stream.draws_consumed += count
     return var_names, rows, burn_in, epoch
 
 

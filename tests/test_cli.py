@@ -411,8 +411,10 @@ def test_evidence_that_is_not_an_object_exit_3(runner, tmp_path, evidence):
     assert isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("shape", ["3x3", "2x3"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", ["3x3", "2x3", "-1x-4", "-2x-2"])
 def test_dpmm_image_shape_that_does_not_hold_the_pixels_exit_6(runner, tmp_path, shape):
+    # -1x-4 and -2x-2 multiply to the 4 pixels: only a size below 1 rejects them
     data = tmp_path / "data.txt"
     data.write_text("1 0 1 0\n1 0 1 1\n0 1 0 1\n")
     out = tmp_path / "out"

@@ -68,14 +68,14 @@ def both_paths(make_assembly, script, monkeypatch):
     """script(assembly) -> result on a lane run and a scalar run, plus the
     final assembly snapshots; asserts they agree and returns lane counts."""
     calls = {"lanes": 0}
-    step = transition._Lanes.step
+    step = transition._LaneGroup.step
 
-    def counting(self, state):
+    def counting(self, *args):
         calls["lanes"] += 1
-        return step(self, state)
+        return step(self, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(transition._Lanes, "step", counting)
+        m.setattr(transition._LaneGroup, "step", counting)
         lane_asm = make_assembly()
         lane_out = script(lane_asm)
     with monkeypatch.context() as m:
@@ -169,9 +169,9 @@ def test_error_message_names_the_first_empty_lane(monkeypatch):
 
 
 def never_lanes(monkeypatch):
-    def fail(self, state):
+    def fail(self, *args):
         raise AssertionError("lane kernel taken")
-    monkeypatch.setattr(transition._Lanes, "step", fail)
+    monkeypatch.setattr(transition._LaneGroup, "step", fail)
 
 
 @pytest.mark.parametrize("case", ["icu", "float", "mh", "fault", "random-scan", "16,8"])
@@ -207,6 +207,20 @@ def test_fault_rate_zero_takes_lanes_and_matches_no_fault(monkeypatch):
     assert run(a, 3).rows == run(b, 3, fault=FaultModel(0.0)).rows
     assert snapshot(a) == snapshot(b)
     assert len(a._lanes) == 2
+
+
+def test_lowering_is_built_once_per_assembly(monkeypatch):
+    calls = []
+    lower = transition._lower
+    monkeypatch.setattr(transition, "_lower", lambda asm: calls.append(1) or lower(asm))
+    asm = compile_graph(lattice_graph(size=8, d=3), seed=20)
+    for temperature, clamp in ((1.0, None), (0.5, None), (0.5, "x_0_0")):
+        if clamp:
+            asm.clamp(clamp, 1)
+        asm.set_temperature(temperature)
+        run(asm, 1, burn_in=0)
+    assert calls == [1]
+    assert len(asm._lanes) == 2
 
 
 def test_narrow_group_width_boundary():

@@ -75,7 +75,7 @@ def test_groups_are_the_greedy_coloring(h, w):
     m = LatticeMRF(h, w, 2, np.zeros((h, w, 2)))
     lowered = mrf._Checkerboard(m, m.smoothness_table(), FORMATS[1], 0)
     names = [name for row in m.site_names() for name in row]
-    groups = [[names[s] for s in group[0]] for group in lowered.groups]
+    groups = [[names[s] for s in group.sites] for group in lowered.groups]
     assert groups == compile_graph(m.to_factor_graph()).schedule
 
 
@@ -145,16 +145,15 @@ def test_these_take_the_compiled_path(case, monkeypatch):
 
 
 def test_one_lane_kernel_serves_both_paths(monkeypatch):
-    assert mrf._lane_gibbs is transition._lane_gibbs
+    assert mrf._LaneGroup is transition._LaneGroup
     calls = []
-    kernel = transition._lane_gibbs
+    step = transition._LaneGroup.step
 
-    def counting(*args):
-        calls.append(len(args[1]))
-        return kernel(*args)
+    def counting(self, *args):
+        calls.append(len(self.sites))
+        return step(self, *args)
 
-    monkeypatch.setattr(mrf, "_lane_gibbs", counting)
-    monkeypatch.setattr(transition, "_lane_gibbs", counting)
+    monkeypatch.setattr(transition._LaneGroup, "step", counting)
     m = lattice(8, 8, "stereo", 3)
     mrf.solve(m, 2, anneal=None)
     transition.run(compile_graph(m.to_factor_graph()), 1, burn_in=0)

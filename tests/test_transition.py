@@ -8,15 +8,21 @@ from stochcirc.compiler import compile as compile_graph, fault_kl_report
 from stochcirc.entropy import EntropyStream
 from stochcirc.errors import ConfigError, DomainError, NoSupportError, ScheduleViolationError
 from stochcirc.factorgraph import Factor, FactorGraph, Variable, enumerate_joint
-from stochcirc.lowprec import DEFAULT_FORMAT, float_weights, invert_cdf, total_variation
+from stochcirc.lowprec import (
+    DEFAULT_FORMAT,
+    MULTIPLIER_BITS,
+    EnergyFormat,
+    float_weights,
+    invert_cdf,
+    total_variation,
+)
 from stochcirc.transition import (
+    GIBBS_WEIGHT_BITS,
     FaultModel,
     GibbsKernel,
     MhKernel,
     TransitionAssembly,
     TransitionCircuit,
-    gibbs_kernel_from_factors,
-    mh_kernel,
     run,
     validate_schedule,
 )
@@ -37,7 +43,7 @@ def _clamped(graph, fmt, seed, clamped):
 
 def test_unary_gibbs_kernel_reproduces_factor():
     f = Factor("u", ["X"], [0.25, 0.75], [2])
-    kernel = gibbs_kernel_from_factors("X", 2, [f], DEFAULT_FORMAT)
+    kernel = GibbsKernel("X", 2, [f], DEFAULT_FORMAT)
     s = EntropyStream(1)
     n = 100_000
     ones = sum(kernel.step(0, {}, s) for _ in range(n))
@@ -48,7 +54,7 @@ def test_fork_model_full_conditional_matches_bayes_rule():
     # conditional of the root given both effects, vs enumeration over 8 states;
     # high-precision mode isolates kernel logic from quantization loss
     graph = fork_graph()
-    kernel = gibbs_kernel_from_factors("A", 2, graph.factors_touching("A"), None)
+    kernel = GibbsKernel("A", 2, graph.factors_touching("A"), None)
     s = EntropyStream(2)
     for b, c in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         expected = conditional_by_enumeration(graph, "A", {"B": b, "C": c})
@@ -63,8 +69,7 @@ def test_fork_model_full_conditional_matches_bayes_rule():
 def test_fork_model_conditional_fixed_point_within_budget():
     # same check at the (8,4) default: quantization bias stays within TV 0.02
     graph = fork_graph()
-    kernel = gibbs_kernel_from_factors("A", 2, graph.factors_touching("A"),
-                                       DEFAULT_FORMAT)
+    kernel = GibbsKernel("A", 2, graph.factors_touching("A"), DEFAULT_FORMAT)
     s = EntropyStream(2)
     for b, c in [(0, 0), (1, 1)]:
         expected = conditional_by_enumeration(graph, "A", {"B": b, "C": c})
@@ -78,7 +83,7 @@ def test_fork_model_conditional_fixed_point_within_budget():
 def test_ising_pair_kernel_prefers_agreement():
     # 2-state agreement coupling: conditional must favor the neighbor's value
     couple = Factor("c", ["X", "Y"], [3.0, 1.0, 1.0, 3.0], [2, 2])
-    kernel = gibbs_kernel_from_factors("X", 2, [couple], DEFAULT_FORMAT)
+    kernel = GibbsKernel("X", 2, [couple], DEFAULT_FORMAT)
     s = EntropyStream(3)
     n = 50_000
     agree = sum(kernel.step(0, {"Y": 1}, s) for _ in range(n)) / n
@@ -88,15 +93,36 @@ def test_ising_pair_kernel_prefers_agreement():
 def test_zero_support_conditional_reports_variable():
     dead = Factor("d", ["X"], [0.0, 1.0], [2])
     pin = Factor("p", ["X"], [1.0, 0.0], [2])
-    kernel = gibbs_kernel_from_factors("X", 2, [dead, pin], DEFAULT_FORMAT)
+    kernel = GibbsKernel("X", 2, [dead, pin], DEFAULT_FORMAT)
     with pytest.raises(NoSupportError) as err:
         kernel.step(0, {}, EntropyStream(0))
     assert err.value.variable == "X"
 
 
+@pytest.mark.parametrize("bits,frac", [(32, 0), (16, 0), (12, 0)])
+def test_gibbs_kernel_refuses_weights_past_the_bound(bits, frac):
+    fmt = EnergyFormat(bits, frac)
+    f = Factor("u", ["X"], [0.25, 0.75], [2])
+    with pytest.raises(ConfigError, match=f"wider than {GIBBS_WEIGHT_BITS} bits"):
+        GibbsKernel("X", 2, [f], fmt)
+    with pytest.raises(ConfigError):
+        compile_graph(fork_graph(), fmt=fmt)
+    # MH compares energies and never builds the weights
+    assert compile_graph(fork_graph(), kernel="mh", fmt=fmt).meta["format"] == [bits, frac]
+
+
+@pytest.mark.parametrize("bits,frac", [(4, 0), (8, 4), (10, 5), (16, 8), (10, 0), (12, 2),
+                                       (12, 1)])
+def test_gibbs_kernel_admits_formats_up_to_the_bound(bits, frac):
+    fmt = EnergyFormat(bits, frac)
+    assert (fmt.max_raw >> frac) + MULTIPLIER_BITS <= GIBBS_WEIGHT_BITS
+    f = Factor("u", ["X"], [0.25, 0.75], [2])
+    assert GibbsKernel("X", 2, [f], fmt).step(0, {}, EntropyStream(6)) in (0, 1)
+
+
 def test_mh_uniform_target_always_accepts():
     flat = Factor("u", ["X"], [1.0, 1.0, 1.0, 1.0], [4])
-    kernel = mh_kernel("X", 4, [flat], DEFAULT_FORMAT)
+    kernel = MhKernel("X", 4, [flat], DEFAULT_FORMAT)
     s = EntropyStream(4)
     current = 0
     moves = 0
@@ -114,7 +140,7 @@ def test_mh_uniform_target_always_accepts():
 def test_mh_two_state_stationary_distribution():
     # target (0.25, 0.75); TV < 0.01 over 1e6 steps
     target = Factor("t", ["X"], [0.25, 0.75], [2])
-    kernel = mh_kernel("X", 2, [target], DEFAULT_FORMAT)
+    kernel = MhKernel("X", 2, [target], DEFAULT_FORMAT)
     s = EntropyStream(5)
     counts = np.zeros(2)
     x = 0
@@ -288,7 +314,7 @@ def test_reclamping_without_recompilation():
 def test_isolated_variable_assembly():
     # a single unary circuit run directly, without the compiler
     f = Factor("u", ["X"], [1.0, 3.0], [2])
-    kernel = gibbs_kernel_from_factors("X", 2, [f], DEFAULT_FORMAT)
+    kernel = GibbsKernel("X", 2, [f], DEFAULT_FORMAT)
     circ = TransitionCircuit("X", 2, kernel, EntropyStream(50))
     asm = TransitionAssembly([circ], set(), [["X"]])
     trace = run(asm, 50_000)
