@@ -45,6 +45,7 @@ from .compiler import (
     query as run_query,
 )
 from .dpmm import (
+    DPMM_FORMAT,
     DpmmState,
     cluster_summaries,
     gibbs_chain,
@@ -202,7 +203,8 @@ def _compiled(ctx, model, evidence, kernel="gibbs"):
               show_default=True, help="Directory for output artifacts.")
 @click.option("--format", "fmt", default=None,
               help="Fixed-point energy format 'b,f', or 'float' for high precision "
-                   f"[default: {DEFAULT_FORMAT.bits},{DEFAULT_FORMAT.frac}]")
+                   f"[default: {DEFAULT_FORMAT.bits},{DEFAULT_FORMAT.frac}; "
+                   f"dpmm run: {DPMM_FORMAT.bits},{DPMM_FORMAT.frac}]")
 @click.option("--schedule", type=click.Choice(["parallel", "serial", "random-scan"]),
               default="parallel", show_default=True,
               help="Update schedule for compiled chains.")
@@ -215,7 +217,8 @@ def _compiled(ctx, model, evidence, kernel="gibbs"):
 def main(ctx, seed, out_dir, fmt, schedule, fault_rate, threads):
     """Stochastic digital circuits for sampling-based Bayesian inference."""
     ctx.ensure_object(dict)
-    ctx.obj.update(seed=seed, fmt=_parse_format(fmt), schedule=schedule,
+    ctx.obj.update(seed=seed, fmt=_parse_format(fmt), fmt_given=fmt is not None,
+                   schedule=schedule,
                    fault=FaultModel(fault_rate) if fault_rate != 0 else None,
                    out_dir=pathlib.Path(out_dir))
 
@@ -409,10 +412,15 @@ def dpmm():
 @click.pass_context
 def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
              is_idx, binarize, image_shape):
-    """Cluster binary vectors from a 0/1 text matrix or an IDX image file."""
+    """Cluster binary vectors from a 0/1 text matrix or an IDX image file.
+
+    Draws at (16,8) unless --format names another fixed-point format.
+    """
+    fmt = ctx.obj["fmt"] if ctx.obj["fmt_given"] else DPMM_FORMAT
+    if fmt is None:
+        raise ConfigError("dpmm draws need a fixed-point --format 'b,f', not float")
     if is_idx:
-        vectors, idx_shape = read_idx_images(data, threshold=binarize)
-        rows = np.stack(vectors)
+        rows, idx_shape = read_idx_images(data, threshold=binarize)
         if image_shape is None:
             image_shape = f"{idx_shape[0]}x{idx_shape[1]}"
     else:
@@ -436,7 +444,7 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
                       beta_off=beta_off)
     count_hist = {}
     assign_lines = ["sweep," + ",".join(f"d{i}" for i in range(rows.shape[0]))]
-    chain = gibbs_chain(state, rows, sweeps, burn_in, EntropyStream(ctx.obj["seed"]))
+    chain = gibbs_chain(state, rows, sweeps, burn_in, EntropyStream(ctx.obj["seed"]), fmt)
     for sweep, _ in enumerate(chain):
         k = len(state.clusters)
         count_hist[k] = count_hist.get(k, 0) + 1

@@ -10,10 +10,20 @@ Energies are quantized to fixed point and drawn through the same
 discrete-sample gate as every other sampler here; the default format is
 wider than the global (8, 4) because partition posteriors are sensitive to
 sub-percent weight ratios.
+
+The state caches the likelihood terms of its live clusters, one row per
+cluster in ascending id order: -log2(n_k) and the log2 predictive of an on
+and of an off pixel. assign and remove refresh only the row of the cluster
+they touch. A last row holds the same terms for a new cluster, -log2(alpha)
+and the log2 prior predictive; it depends only on the prior, so it is
+computed once per state. A draw is then one vectorized energy row; it sums
+each cluster's pixels exactly as a per-cluster loop would, so the energies
+are bit-identical to that loop's.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -21,9 +31,13 @@ import numpy as np
 
 from .entropy import EntropyStream
 from .errors import ConfigError, ShapeError
-from .lowprec import EnergyFormat, EnergyVector, discrete_sample
+from .lowprec import EnergyFormat, EnergyVector, check_weight_width, discrete_sample
 
 DPMM_FORMAT = EnergyFormat(16, 8)
+#: Clusters of up to this many members look their cached rows up in
+#: per-count log tables, one entry per possible on-count (about 8 MB when
+#: every count is reached); larger clusters compute their rows directly.
+LOG_TABLE_COUNTS = 1024
 
 
 @dataclass
@@ -52,13 +66,30 @@ class DpmmState:
         self.clusters: dict[int, ClusterStats] = {}
         self.ingest_log: list[int] = []
         self._next_cluster = 0
+        # cached likelihood rows of the live clusters, in ascending id order,
+        # then the new-cluster row
+        self._ids: list[int] = []
+        log_n, log_on, log_off = self._new_cluster_terms()
+        self._log_n = np.array([log_n])
+        self._log_on = log_on[np.newaxis]
+        self._log_off = log_off[np.newaxis]
+        self._log_tables: dict[int, tuple] = {}
+
+    def _on_mask(self, datum) -> np.ndarray:
+        """Which pixels of the datum are on; ShapeError unless it has dim
+        pixels, each 0 or 1."""
+        values = np.asarray(datum).reshape(-1)
+        if values.size != self.dim:
+            raise ShapeError(f"datum has {values.size} pixels, expected {self.dim}")
+        on = values == 1
+        if values.dtype.kind not in "biuf" or not (on | (values == 0)).all():
+            raise ShapeError("datum must be binary")
+        return on
 
     def check_datum(self, datum) -> np.ndarray:
-        datum = np.asarray(datum, dtype=np.int8).reshape(-1)
-        if datum.size != self.dim:
-            raise ShapeError(f"datum has {datum.size} pixels, expected {self.dim}")
-        if datum.size and (datum.min() < 0 or datum.max() > 1):
-            raise ShapeError("datum must be binary")
+        """The datum as a read-only int8 vector of dim pixels, each 0 or 1."""
+        datum = self._on_mask(datum).astype(np.int8)
+        datum.setflags(write=False)
         return datum
 
     def n_data(self) -> int:
@@ -66,12 +97,55 @@ class DpmmState:
 
     def add_datum(self, datum) -> int:
         """Register a datum without assigning it; returns its index."""
-        datum = self.check_datum(datum)
-        self.data.append(datum)
+        self.data.append(self.check_datum(datum))
         self.assignments.append(None)
         idx = len(self.data) - 1
         self.ingest_log.append(idx)
         return idx
+
+    def _log_terms(self, n: int, c: np.ndarray):
+        """-log2(n) and the log2 predictive of an on and of an off pixel
+        with on-counts c in a cluster of n members."""
+        denom = n + self.beta_on + self.beta_off
+        return (-np.log2(n), np.log2((c + self.beta_on) / denom),
+                np.log2((n - c + self.beta_off) / denom))
+
+    def _new_cluster_terms(self):
+        """-log2(alpha) and the log2 prior predictive of an on and of an off
+        pixel, dim wide."""
+        total = self.beta_on + self.beta_off
+        return (-np.log2(self.alpha), np.log2(np.full(self.dim, self.beta_on) / total),
+                np.log2(np.full(self.dim, self.beta_off) / total))
+
+    def _cluster_row(self, stats: ClusterStats):
+        """A cluster's cached row, looked up by count and on-count."""
+        n, c = stats.count, stats.on_counts
+        if n > LOG_TABLE_COUNTS:
+            return self._log_terms(n, c)
+        table = self._log_tables.get(n)
+        if table is None:
+            table = self._log_tables[n] = self._log_terms(n, np.arange(n + 1))
+        log_n, log_on, log_off = table
+        return log_n, log_on[c], log_off[c]
+
+    def _refresh(self, cid: int):
+        """Recompute cluster cid's cached row, or delete it if cid emptied."""
+        row = bisect.bisect_left(self._ids, cid)
+        stats = self.clusters.get(cid)
+        if stats is None:
+            del self._ids[row]
+            self._log_n = np.delete(self._log_n, row)
+            self._log_on = np.delete(self._log_on, row, axis=0)
+            self._log_off = np.delete(self._log_off, row, axis=0)
+            return
+        if row == len(self._ids):
+            # a founded cluster: its id is the largest, so its row goes
+            # last, where the new-cluster row was; that row moves down one
+            self._ids.append(cid)
+            self._log_n = np.concatenate((self._log_n, self._log_n[-1:]))
+            self._log_on = np.concatenate((self._log_on, self._log_on[-1:]))
+            self._log_off = np.concatenate((self._log_off, self._log_off[-1:]))
+        self._log_n[row], self._log_on[row], self._log_off[row] = self._cluster_row(stats)
 
     def _found_cluster(self) -> int:
         cid = self._next_cluster
@@ -88,6 +162,7 @@ class DpmmState:
         stats = self.clusters[cid]
         stats.count += 1
         stats.on_counts += self.data[idx]
+        self._refresh(cid)
         self.assignments[idx] = cid
         return cid
 
@@ -102,9 +177,7 @@ class DpmmState:
         self.assignments[idx] = None
         if stats.count == 0:
             del self.clusters[cid]
-
-    def cluster_ids(self) -> list[int]:
-        return sorted(self.clusters)
+        self._refresh(cid)
 
     def partition(self) -> tuple:
         """Canonical label-free partition of datum indices."""
@@ -115,7 +188,8 @@ class DpmmState:
         return tuple(sorted(tuple(g) for g in groups.values()))
 
     def audit(self):
-        """Recompute statistics from scratch and compare (debug invariant)."""
+        """Recompute statistics and cached rows from scratch and compare
+        (debug invariant); the rows must match bit for bit."""
         fresh: dict[int, ClusterStats] = {}
         for idx, cid in enumerate(self.assignments):
             if cid is None:
@@ -133,38 +207,33 @@ class DpmmState:
         total = sum(s.count for s in self.clusters.values())
         assigned = sum(1 for a in self.assignments if a is not None)
         assert total == assigned, "count conservation violated"
+        assert self._ids == sorted(fresh), "cached rows out of cluster order"
+        rows = [self._log_terms(fresh[cid].count, fresh[cid].on_counts) for cid in self._ids]
+        rows.append(self._new_cluster_terms())
+        for cached, column in zip((self._log_n, self._log_on, self._log_off), zip(*rows)):
+            want = np.array(column).reshape(cached.shape)
+            assert cached.tobytes() == want.tobytes(), "stale cached cluster rows"
 
 
 def assignment_energies(state: DpmmState, datum) -> tuple[list[float], list[int | None]]:
-    """Energies over existing clusters plus one new-cluster slot.
+    """Energies over existing clusters, in ascending id order, plus one
+    new-cluster slot.
 
-    The datum must not currently be counted in any cluster. The common CRP
-    denominator is dropped: only energy differences matter to the gate.
+    The datum must not currently be counted in any cluster, and is checked
+    as add_datum checks it. The common CRP denominator is dropped: only
+    energy differences matter to the gate.
     """
-    datum = state.check_datum(datum)
-    on = datum == 1
-    b_on, b_off = state.beta_on, state.beta_off
-    energies: list[float] = []
-    slots: list[int | None] = []
-    for cid in state.cluster_ids():
-        stats = state.clusters[cid]
-        c = stats.on_counts
-        denom = stats.count + b_on + b_off
-        pred = np.where(on, (c + b_on) / denom, (stats.count - c + b_off) / denom)
-        energies.append(float(-np.log2(stats.count) - np.log2(pred).sum()))
-        slots.append(cid)
-    prior = np.where(on, b_on, b_off) / (b_on + b_off)
-    energies.append(float(-np.log2(state.alpha) - np.log2(prior).sum()))
-    slots.append(None)
-    return energies, slots
+    on = state._on_mask(datum)
+    energies = state._log_n - np.where(on, state._log_on, state._log_off).sum(axis=1)
+    return energies.tolist(), state._ids + [None]
 
 
 def _draw_assignment(state: DpmmState, idx: int, stream: EntropyStream,
                      fmt: EnergyFormat):
     energies, slots = assignment_energies(state, state.data[idx])
-    shift = min(energies)
-    vec = EnergyVector.from_energies([e - shift for e in energies], fmt)
-    choice = discrete_sample(vec, stream)
+    energies = np.array(energies)
+    choice = discrete_sample(EnergyVector.from_energies(energies - energies.min(), fmt),
+                             stream)
     state.assign(idx, slots[choice])
 
 
@@ -173,6 +242,7 @@ def gibbs_sweep(state: DpmmState, stream: EntropyStream,
     """One full pass: reassign every datum in ascending index order."""
     if state.n_data() < 1:
         raise ConfigError("no data to sweep")
+    check_weight_width(fmt)
     for idx in range(state.n_data()):
         state.remove(idx)
         _draw_assignment(state, idx, stream, fmt)
@@ -182,6 +252,9 @@ def gibbs_sweep(state: DpmmState, stream: EntropyStream,
 def stream_datum(state: DpmmState, datum, inner_sweeps: int,
                  stream: EntropyStream, fmt: EnergyFormat = DPMM_FORMAT) -> DpmmState:
     """Online ingestion: one conditional draw for the newcomer, then sweeps."""
+    if inner_sweeps < 0:
+        raise ConfigError(f"inner sweeps must be nonnegative, got {inner_sweeps}")
+    check_weight_width(fmt)
     idx = state.add_datum(datum)
     _draw_assignment(state, idx, stream, fmt)
     for _ in range(inner_sweeps):
@@ -204,7 +277,8 @@ def cluster_summaries(state: DpmmState) -> list[tuple[int, np.ndarray]]:
 def read_idx_images(path, threshold: int = 128):
     """Binarized vectors from an IDX ubyte image file (demo ingestion path).
 
-    Returns (vectors, (height, width)). The IDX header is big-endian:
+    Returns (vectors, (height, width)), vectors an (images, height * width)
+    int8 matrix with one row per image. The IDX header is big-endian:
     two zero bytes, type code 0x08 (unsigned byte), dimension count, then
     one 4-byte size per dimension.
     """
@@ -220,8 +294,7 @@ def read_idx_images(path, threshold: int = 128):
     pixels = np.frombuffer(blob[4 + 4 * ndim:], dtype=np.uint8)
     if pixels.size != n * h * w:
         raise ConfigError(f"{path}: truncated pixel data")
-    vectors = (pixels.reshape(n, h * w) >= threshold).astype(np.int8)
-    return [vectors[i] for i in range(n)], (h, w)
+    return (pixels.reshape(n, h * w) >= threshold).astype(np.int8), (h, w)
 
 
 def gibbs_chain(state: DpmmState, data, sweeps: int, burn_in: int,

@@ -31,6 +31,12 @@ from .entropy import EntropyStream
 from .errors import ConfigError, DomainError, NoSupportError
 
 MULTIPLIER_BITS = 16
+#: A sampler that computes the exact integer weights, Qmax + MULTIPLIER_BITS
+#: bits wide, refuses a format whose weights are wider than this. Every draw
+#: computes with integers that wide, so (32,0), whose weights have about
+#: 2^32 bits, would never finish a sweep; (12,1) and (10,0) are admitted,
+#: (12,0) is not.
+GIBBS_WEIGHT_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,13 @@ class EnergyFormat:
 
 
 DEFAULT_FORMAT = EnergyFormat(8, 4)
+
+
+def check_weight_width(fmt: EnergyFormat):
+    """ConfigError unless fmt's integer weights fit GIBBS_WEIGHT_BITS."""
+    if (fmt.max_raw >> fmt.frac) + MULTIPLIER_BITS > GIBBS_WEIGHT_BITS:
+        raise ConfigError(f"format ({fmt.bits},{fmt.frac}) gives Gibbs weights wider "
+                          f"than {GIBBS_WEIGHT_BITS} bits")
 
 
 @dataclass(frozen=True)

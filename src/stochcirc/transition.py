@@ -38,6 +38,7 @@ from .lowprec import (
     MULTIPLIER_BITS,
     EnergyFormat,
     _multiplier_table,
+    check_weight_width,
     float_weights,
     integer_weights,
     invert_cdf,
@@ -48,11 +49,6 @@ from .lowprec import (
 LANE_MIN_WIDTH = 16
 #: Lane weights are int64: Qmax + MULTIPLIER_BITS + ceil(log2 K) must fit.
 LANE_WEIGHT_BITS = 62
-#: GibbsKernel refuses a format whose exact weights, Qmax + MULTIPLIER_BITS
-#: bits wide, exceed this. Every draw computes with integers that wide, so
-#: (32,0), whose weights have about 2^32 bits, would never finish a sweep;
-#: (12,1) and (10,0) are admitted, (12,0) is not.
-GIBBS_WEIGHT_BITS = 4096
 
 
 def _specialized_energy_table(factor: Factor, var: str):
@@ -164,10 +160,8 @@ class GibbsKernel:
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
                  tables: dict | None = None):
-        if (fmt is not None
-                and (fmt.max_raw >> fmt.frac) + MULTIPLIER_BITS > GIBBS_WEIGHT_BITS):
-            raise ConfigError(f"format ({fmt.bits},{fmt.frac}) gives Gibbs weights wider "
-                              f"than {GIBBS_WEIGHT_BITS} bits")
+        if fmt is not None:
+            check_weight_width(fmt)
         self.parts = _kernel_parts(var, arity, factors, tables)
         self.var = var
         self.arity = arity

@@ -2,7 +2,9 @@
 
 Everything here computes expected values by enumeration or direct summation,
 never through the sampling paths under test. FixedUnitStream drives a sampler
-with one chosen uniform draw.
+with one chosen uniform draw. dpmm_reference_chain replays the DPMM sampler
+from per-cluster energies computed in a loop, drawing through the
+discrete-sample gate, which is tested on its own.
 """
 
 import math
@@ -11,6 +13,7 @@ from itertools import product
 import numpy as np
 
 from stochcirc.factorgraph import Factor, FactorGraph, Variable
+from stochcirc.lowprec import EnergyVector, discrete_sample
 
 
 class FixedUnitStream:
@@ -119,6 +122,71 @@ def dpmm_partition_posterior(data, alpha=1.0, beta_on=0.5, beta_off=0.5):
     weights = {k: math.exp(v - peak) for k, v in log_weights.items()}
     total = sum(weights.values())
     return {k: v / total for k, v in weights.items()}
+
+
+def dpmm_reference_energies(clusters, datum, alpha, beta_on, beta_off):
+    """CRP energies of datum, one per cluster in ascending id order, then the
+    new-cluster slot; clusters maps id -> (count, per-pixel on-counts).
+
+    One cluster at a time: the log2 predictive row of each cluster is summed
+    on its own.
+    """
+    on = np.asarray(datum) == 1
+    energies = []
+    for cid in sorted(clusters):
+        count, c = clusters[cid]
+        denom = count + beta_on + beta_off
+        pred = np.where(on, (c + beta_on) / denom, (count - c + beta_off) / denom)
+        energies.append(float(-np.log2(count) - np.log2(pred).sum()))
+    prior = np.where(on, beta_on, beta_off) / (beta_on + beta_off)
+    energies.append(float(-np.log2(alpha) - np.log2(prior).sum()))
+    return energies
+
+
+def dpmm_reference_chain(data, sweeps, stream, fmt, alpha, beta_on, beta_off):
+    """Batch collapsed Gibbs from dpmm_reference_energies: each datum drawn
+    in turn, then `sweeps` passes in index order, ids founded in increasing
+    order. Returns (energies of every draw, final assignments, the partition
+    after each sweep)."""
+    data = [np.asarray(d, dtype=np.int64).reshape(-1) for d in data]
+    clusters = {}
+    assignments = [None] * len(data)
+    draws, partitions = [], []
+    next_id = 0
+
+    def draw(idx):
+        nonlocal next_id
+        energies = dpmm_reference_energies(clusters, data[idx], alpha, beta_on, beta_off)
+        draws.append(energies)
+        shift = min(energies)
+        vec = EnergyVector.from_energies([e - shift for e in energies], fmt)
+        ids = sorted(clusters)
+        choice = discrete_sample(vec, stream)
+        if choice < len(ids):
+            cid = ids[choice]
+        else:
+            cid, next_id = next_id, next_id + 1
+            clusters[cid] = (0, np.zeros_like(data[idx]))
+        count, c = clusters[cid]
+        clusters[cid] = (count + 1, c + data[idx])
+        assignments[idx] = cid
+
+    for idx in range(len(data)):
+        draw(idx)
+    for _ in range(sweeps):
+        for idx in range(len(data)):
+            cid = assignments[idx]
+            count, c = clusters[cid]
+            if count == 1:
+                del clusters[cid]
+            else:
+                clusters[cid] = (count - 1, c - data[idx])
+            draw(idx)
+        blocks = {}
+        for idx, cid in enumerate(assignments):
+            blocks.setdefault(cid, []).append(idx)
+        partitions.append(canonical_partition(blocks.values()))
+    return draws, assignments, partitions
 
 
 def partition_histogram(partitions):

@@ -344,14 +344,57 @@ def test_factor_entry_without_table_exit_3(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("rows", ["1 0 1\n1 0 x\n", "1 0 1\n1 0\n"])
+@pytest.mark.parametrize("rows", ["1 0 1\n1 0 x\n", "1 0 1\n1 0\n", "0 1 256\n257 0 1\n",
+                                  "0 1 1\n-1 0 1\n"])
 def test_dpmm_data_with_non_integer_entry_exit_6(runner, tmp_path, rows):
     data = tmp_path / "data.txt"
     data.write_text(rows)
-    result = runner.invoke(main, ["--out-dir", str(tmp_path / "out"), "dpmm", "run",
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out-dir", str(out), "dpmm", "run",
                                   str(data), "--sweeps", "2", "--burn-in", "0"])
     assert result.exit_code == 6, result.output
     assert isinstance(result.exception, SystemExit)
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def _dpmm_outputs(runner, tmp_path, name, global_args):
+    """(assignments.csv, dpmm_run_meta.json) of one run on a shared data file."""
+    data = tmp_path / "data.txt"
+    data.write_text("0 1 1 0\n1 1 0 0\n0 0 1 1\n1 0 1 0\n0 1 1 1\n1 1 1 0\n")
+    out = tmp_path / name
+    result = invoke(runner, ["--seed", "3", "--out-dir", str(out)] + global_args
+                    + ["dpmm", "run", str(data), "--sweeps", "30", "--burn-in", "0"])
+    assert result.exit_code == 0, result.output
+    return ((out / "assignments.csv").read_text(),
+            (out / "dpmm_run_meta.json").read_text())
+
+
+def test_dpmm_honors_an_explicit_format(runner, tmp_path):
+    default = _dpmm_outputs(runner, tmp_path, "default", [])
+    assert _dpmm_outputs(runner, tmp_path, "wide", ["--format", "16,8"]) == default
+    narrow = _dpmm_outputs(runner, tmp_path, "narrow", ["--format", "8,4"])
+    assert narrow[0] != default[0]
+    assert narrow[1] == default[1]
+
+
+@pytest.mark.parametrize("fmt, message", [("float", "fixed-point"), ("32,0", "wider than"),
+                                          ("12,0", "wider than")])
+def test_dpmm_format_without_a_usable_fixed_point_word_exit_6(runner, tmp_path, model_file,
+                                                              fmt, message):
+    output = _invoke_rejected(runner, tmp_path, model_file,
+                              ["--format", fmt, "dpmm", "run", "{data}", "--sweeps", "2"])
+    assert message in output
+
+
+def test_dpmm_idx_file_with_no_images_exit_6(runner, tmp_path):
+    idx = tmp_path / "empty.idx"
+    idx.write_bytes(bytes([0, 0, 0x08, 3]) + b"".join(d.to_bytes(4, "big") for d in (0, 2, 3)))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out-dir", str(out), "dpmm", "run", str(idx), "--idx"])
+    assert result.exit_code == 6, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "empty data file" in result.output
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from oracles import (
     ambiguous_dataset,
     dict_tv,
     dpmm_partition_posterior,
+    dpmm_reference_energies,
     partition_histogram,
     separated_dataset,
 )
 from stochcirc.dpmm import (
     DPMM_FORMAT,
+    LOG_TABLE_COUNTS,
     DpmmState,
     assignment_energies,
     cluster_summaries,
@@ -19,6 +23,7 @@ from stochcirc.dpmm import (
 )
 from stochcirc.entropy import EntropyStream
 from stochcirc.errors import ConfigError, ShapeError
+from stochcirc.lowprec import EnergyFormat
 
 FOUR_POINT_DATA = [np.array(v) for v in ([0, 0], [0, 1], [1, 1], [1, 1])]
 
@@ -34,6 +39,69 @@ def test_dimension_mismatch():
     state = DpmmState(4)
     with pytest.raises(ShapeError):
         state.add_datum([1, 0])
+
+
+@pytest.mark.parametrize("datum", [[0.5, 1.0], [1.7, 0], [0, 1, 256], [257, 0, 1], [-1, 0],
+                                   [0, float("nan")], ["0", "1"]])
+def test_non_binary_data_are_rejected_not_cast(datum):
+    with pytest.raises(ShapeError, match="binary"):
+        run_batch([[0] * len(datum), datum], 2, EntropyStream(1))
+    with pytest.raises(ShapeError, match="binary"):
+        assignment_energies(DpmmState(len(datum)), datum)
+
+
+def test_binary_data_of_any_numeric_type_are_accepted():
+    state = DpmmState(3)
+    for datum in ([True, False, True], [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.uint8)):
+        assert state.data[state.add_datum(datum)].tolist() == [1, 0, 1]
+
+
+def test_stream_datum_rejects_negative_inner_sweeps():
+    state = DpmmState(2)
+    with pytest.raises(ConfigError, match="inner sweeps"):
+        stream_datum(state, [0, 1], -1, EntropyStream(1))
+    assert state.n_data() == 0
+
+
+@pytest.mark.parametrize("bits,frac", [(32, 0), (12, 0)])
+def test_chain_refuses_weights_past_the_gibbs_bound(bits, frac):
+    with pytest.raises(ConfigError, match="wider than"):
+        run_batch(FOUR_POINT_DATA, 2, EntropyStream(1), fmt=EnergyFormat(bits, frac))
+
+
+def test_audit_checks_the_cached_rows_bit_for_bit():
+    state, _ = run_batch(list(separated_dataset()[:8]), 5, EntropyStream(3))
+    state.audit()
+    state._log_on[0, 0] = np.nextafter(state._log_on[0, 0], 0.0)
+    with pytest.raises(AssertionError, match="cached cluster rows"):
+        state.audit()
+
+
+def test_clusters_past_the_log_tables_keep_exact_rows():
+    state = DpmmState(3, alpha=0.4, beta_on=0.7, beta_off=1.3)
+    data = np.random.default_rng(5).random((LOG_TABLE_COUNTS + 3, 3)) < 0.4
+    for datum in data:
+        state.assign(state.add_datum(datum), 0 if state.clusters else None)
+    probe = np.array([1, 0, 1])
+    for _ in range(2):   # above the tables, then back below them
+        state.audit()
+        clusters = {cid: (s.count, s.on_counts) for cid, s in state.clusters.items()}
+        assert assignment_energies(state, probe)[0] == dpmm_reference_energies(
+            clusters, probe, 0.4, 0.7, 1.3)
+        for idx in range(4):
+            state.remove(idx)
+
+
+def test_a_copied_state_audits_and_sweeps_like_the_original():
+    state, _ = run_batch(list(separated_dataset()[:8]), 3, EntropyStream(4))
+    twin = copy.deepcopy(state)
+    twin.audit()
+    stream, twin_stream = EntropyStream(9), EntropyStream(9)
+    gibbs_sweep(state, stream)
+    gibbs_sweep(twin, twin_stream)
+    twin.audit()
+    assert twin.assignments == state.assignments
+    assert twin_stream.draws_consumed == stream.draws_consumed
 
 
 def test_empty_state_new_cluster_certain():

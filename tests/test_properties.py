@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra.numpy import arrays
 
-from oracles import evidence_by_pixel
+from oracles import dpmm_reference_chain, evidence_by_pixel
+from stochcirc import dpmm
 from stochcirc.compiler import compile as compile_graph
+from stochcirc.entropy import EntropyStream
 from stochcirc.errors import NoSupportError
 from stochcirc.factorgraph import Factor, FactorGraph, Variable
 from stochcirc.lowprec import MULTIPLIER_BITS, EnergyFormat, float_weights, integer_weights
@@ -169,3 +171,56 @@ def test_compiled_lanes_match_the_scalar_path(case, seed):
     # at most four clamps leave every class LANE_MIN_WIDTH live circuits, so
     # every group runs as lanes
     assert both_paths(make, script, pytest.MonkeyPatch()) > 0
+
+
+def _cached_and_reference_dpmm_chains(data, fmt, alpha, beta_on, beta_off, seed, sweeps=3):
+    """Run gibbs_chain on the cached rows, recording the energies of every
+    draw and auditing the state after every sweep, and the reference chain
+    from per-cluster energies; both must agree draw for draw."""
+    drawn = []
+    energies = dpmm.assignment_energies
+
+    def recorded(state, datum):
+        out = energies(state, datum)
+        drawn.append(out[0])
+        return out
+
+    state = dpmm.DpmmState(len(data[0]), alpha=alpha, beta_on=beta_on, beta_off=beta_off)
+    stream = EntropyStream(seed)
+    partitions = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpmm, "assignment_energies", recorded)
+        for _ in dpmm.gibbs_chain(state, data, sweeps, 0, stream, fmt):
+            state.audit()
+            partitions.append(state.partition())
+    ref_stream = EntropyStream(seed)
+    ref_drawn, ref_assignments, ref_partitions = dpmm_reference_chain(
+        data, sweeps, ref_stream, fmt, alpha, beta_on, beta_off)
+    assert drawn == ref_drawn
+    assert state.assignments == ref_assignments
+    assert partitions == ref_partitions
+    assert (stream.state, stream.draws_consumed) == (ref_stream.state,
+                                                     ref_stream.draws_consumed)
+
+
+PRIOR = st.floats(0.05, 12.0).filter(lambda v: v not in (0.5, 1.0))
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(dim=st.sampled_from([0, 1, 5, 16, 130]), n=st.integers(2, 12),
+       density=st.sampled_from([0.1, 0.5, 0.9]), alpha=PRIOR, beta_on=PRIOR,
+       beta_off=PRIOR, fmt=st.sampled_from([(16, 8), (12, 4), (8, 4)]),
+       seed=st.integers(0, 2**32))
+def test_dpmm_cached_rows_match_the_per_cluster_energies(dim, n, density, alpha, beta_on,
+                                                         beta_off, fmt, seed):
+    data = np.random.default_rng(seed).random((n, dim)) < density
+    _cached_and_reference_dpmm_chains(list(data.astype(np.int8)), EnergyFormat(*fmt),
+                                      alpha, beta_on, beta_off, seed)
+
+
+def test_dpmm_cached_rows_match_the_per_cluster_energies_at_784_pixels():
+    rng = np.random.default_rng(784)
+    protos = rng.random((2, 784)) < 0.3
+    data = protos[rng.integers(0, 2, size=6)] ^ (rng.random((6, 784)) < 0.05)
+    _cached_and_reference_dpmm_chains(list(data.astype(np.int8)), EnergyFormat(16, 8),
+                                      alpha=0.7, beta_on=0.3, beta_off=1.9, seed=28)

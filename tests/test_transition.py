@@ -10,6 +10,7 @@ from stochcirc.errors import ConfigError, DomainError, NoSupportError, ScheduleV
 from stochcirc.factorgraph import Factor, FactorGraph, Variable, enumerate_joint
 from stochcirc.lowprec import (
     DEFAULT_FORMAT,
+    GIBBS_WEIGHT_BITS,
     MULTIPLIER_BITS,
     EnergyFormat,
     float_weights,
@@ -17,7 +18,6 @@ from stochcirc.lowprec import (
     total_variation,
 )
 from stochcirc.transition import (
-    GIBBS_WEIGHT_BITS,
     FaultModel,
     GibbsKernel,
     MhKernel,
