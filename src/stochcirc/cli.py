@@ -310,11 +310,10 @@ def compile_cmd(ctx, model, kernel, evidence):
 def query_cmd(ctx, model, evidence, sweeps, burn_in, thin):
     """Marginals of every variable under the given evidence clamps."""
     graph, assembly = _compiled(ctx, model, evidence)
-    estimates, _ = run_query(assembly, graph.var_names, sweeps,
-                             burn_in=burn_in, thin=thin)
+    estimates, trace = run_query(assembly, graph.var_names, sweeps,
+                                 burn_in=burn_in, thin=thin)
     _emit(ctx, [("marginals.csv", marginals_to_csv(estimates))],
-          {"model": str(model), "evidence": list(evidence),
-           "sweeps": sweeps, "thin": thin, "schedule": ctx.obj["schedule"]})
+          {"model": str(model), "evidence": list(evidence), **trace.meta})
 
 
 @main.command("run")
@@ -456,7 +455,8 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
         img = np.clip(np.round(probs.reshape(shape) * 255), 0, 255)
         files.append((f"cluster_{rank:02d}_n{count}.pgm", img))
     _emit(ctx, files, {"data": str(data), "alpha": alpha, "beta_on": beta_on,
-                       "beta_off": beta_off, "sweeps": sweeps, "burn_in": burn_in})
+                       "beta_off": beta_off, "sweeps": sweeps, "burn_in": burn_in,
+                       "format": [fmt.bits, fmt.frac]})
 
 
 @main.group()
@@ -475,7 +475,7 @@ def spike_run(ctx, model, evidence, sweeps, burn_in):
     _, assembly = _compiled(ctx, model, evidence)
     raster, trace = simulate_spiking_assembly(assembly, sweeps, burn_in=burn_in)
     _emit(ctx, [("raster.csv", raster.events_csv()), ("spike_trace.csv", trace.to_csv())],
-          {"model": str(model), "evidence": list(evidence), "sweeps": sweeps})
+          {"model": str(model), "evidence": list(evidence), **trace.meta})
 
 
 @main.command("selftest")

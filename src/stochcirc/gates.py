@@ -104,8 +104,8 @@ class StochasticGate:
 class TableGate(StochasticGate):
     """Gate that samples directly from a stored table by CDF inversion.
 
-    The lookup bisects (rows can hold up to 2^16 entries) and, like
-    lowprec.invert_cdf, clamps to the last output when rounding leaves the
+    The lookup bisects (rows can hold up to 2^16 entries) and clamps to the
+    row's last output of positive probability when rounding leaves the
     row's running sum at or below u.
     """
 
@@ -114,11 +114,12 @@ class TableGate(StochasticGate):
         self.m = cpt.m
         self.n = cpt.n
         self._cdf = np.cumsum(cpt.rows, axis=1)
+        self._last = ((1 << cpt.n) - 1 - np.argmax(cpt.rows[:, ::-1] > 0, axis=1)).tolist()
 
     def sample(self, x: int, stream: EntropyStream) -> int:
         self._check_input(x)
         u = stream.next_unit()
-        return min(int(np.searchsorted(self._cdf[x], u, side="right")), (1 << self.n) - 1)
+        return min(int(np.searchsorted(self._cdf[x], u, side="right")), self._last[x])
 
     def cpt(self) -> Cpt:
         return self._cpt

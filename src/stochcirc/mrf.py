@@ -14,11 +14,12 @@ module.
 
 For a fixed-point format whose weights fit the lane kernel and the
 parallel schedule, solve() skips the factor graph: it builds the two
-checkerboard color classes as transition._LaneGroup lanes over one label
-vector (one table of specialized energy rows, index arrays for the
-4-stencil, one uint64 stream word per site), keeps them loaded for the
-whole annealing ladder, and requantizes the table once per rung. Each
-sweep is two calls of the lane step that compiled assemblies run too.
+checkerboard color classes as transition._LaneGroup lanes (one table of
+specialized energy rows, index arrays for the 4-stencil, one uint64 stream
+word per site) over one label vector laid out as the compiled assembly's
+registers, keeps them loaded for the whole annealing ladder, and
+requantizes the table once per rung. Each sweep is two calls of the lane
+step that compiled assemblies run on their register vector.
 Chromatic Gibbs is exact when each color class updates in parallel against
 the other's state, and the lowering repeats the compiled path's rows,
 streams, coloring and draws, so its labels, energies and stream words are
@@ -199,15 +200,13 @@ class SolveResult:
 
 
 class _Compiled:
-    """The reference path: to_factor_graph, compile, then one run per rung."""
+    """The reference path: to_factor_graph, compile, then one run per rung;
+    zero-padded site names put its registers and trace columns row-major."""
 
     def __init__(self, mrf: LatticeMRF, fmt, seed: int, schedule: str):
         self.shape = (mrf.height, mrf.width)
         self.assembly = compile_graph(mrf.to_factor_graph(), fmt=fmt,
                                       schedule=schedule, seed=seed)
-        # the zero-padded site names sort in row-major order, and so do the
-        # columns of a trace row
-        self.names = sorted(self.assembly.circuits)
 
     def sweeps(self, temperature: float, n: int):
         self.assembly.set_temperature(temperature)
@@ -215,26 +214,27 @@ class _Compiled:
             yield np.array(row).reshape(self.shape)
 
     def labels(self) -> np.ndarray:
-        return np.array([self.assembly.state[n] for n in self.names]).reshape(self.shape)
+        return self.assembly.values.reshape(self.shape).copy()
 
     def streams(self) -> list[tuple[int, int]]:
-        return [(self.assembly.circuits[n].stream.state,
-                 self.assembly.circuits[n].stream.draws_consumed) for n in self.names]
+        return [(c.stream.state, c.stream.draws_consumed)
+                for c in self.assembly.circuits.values()]
 
 
 class _Checkerboard:
     """A lattice lowered straight to its two checkerboard lane groups.
 
-    Sites are numbered row-major, and the lanes' value vector is the label
-    vector state. The float table holds every site's unary rows, the
-    smoothness rows a site reads for its east or south neighbor (the pair
-    table's first axis is the site's), those for its west or north neighbor
-    (its second axis), and a zero block. Each site has five parts: its unary
-    rows and one per stencil neighbor, where a missing neighbor reads the
-    zero block; part p's row starts at offset[s, p] + label[nbr[s, p]] *
-    stride[s, p]. These are the rows, and the (sorted-name, so row-major)
-    stream forks, that compile gives each site. Group 0 is the greedy
-    coloring's color 0: the parity of the first site of maximum degree.
+    Sites are numbered row-major, as the compiled assembly's registers are,
+    and the lanes' value vector is the label vector state. The float table
+    holds every site's unary rows, the smoothness rows a site reads for its
+    east or south neighbor (the pair table's first axis is the site's),
+    those for its west or north neighbor (its second axis), and a zero
+    block. Each site has five parts: its unary rows and one per stencil
+    neighbor, where a missing neighbor reads the zero block; part p's row
+    starts at offset[s, p] + label[nbr[s, p]] * stride[s, p]. These are the
+    rows, and the (sorted-name, so row-major) stream forks, that compile
+    gives each site. Group 0 is the greedy coloring's color 0: the parity of
+    the first site of maximum degree.
     """
 
     def __init__(self, mrf: LatticeMRF, pair: np.ndarray, fmt: EnergyFormat, seed: int):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .entropy import EntropyStream
 from .errors import ConfigError
 from .lowprec import EnergyVector
-from .transition import GibbsKernel, TransitionAssembly, Trace, _sweep
+from .transition import GibbsKernel, TransitionAssembly, _sweep
 
 
 def _rates(weights) -> list[float]:
@@ -84,23 +84,21 @@ def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,
     trajectory with the same recording rules as transition.run. Each epoch
     (one schedule group, or one random-scan draw) starts at its index.
     """
-    for circ in assembly.circuits.values():
-        if not isinstance(circ.kernel, GibbsKernel):
-            raise ConfigError("spiking simulation requires Gibbs kernels")
+    circuits = list(assembly.circuits.values())
+    if not all(isinstance(circ.kernel, GibbsKernel) for circ in circuits):
+        raise ConfigError("spiking simulation requires Gibbs kernels")
     raster = SpikeRaster()
 
-    def update(name, snapshot, epoch):
-        circ = assembly.circuits[name]
+    def update(i, snapshot, epoch):
+        circ = circuits[i]
         winner, times = _race(_rates(circ.kernel.weights(snapshot)), circ.stream)
         if record_raster:
             for unit, t in enumerate(times):
                 if math.isfinite(t):
-                    raster.events.append((epoch, epoch + t, name, unit))
-            raster.transitions.append((epoch, epoch + times[winner], name, winner))
+                    raster.events.append((epoch, epoch + t, circ.var, unit))
+            raster.transitions.append((epoch, epoch + times[winner], circ.var, winner))
         return winner
 
-    var_names, rows, burn_in, epochs = _sweep(assembly, sweeps, burn_in, thin, update)
-    meta = {"sweeps": sweeps, "burn_in": burn_in, "thin": thin,
-            "epochs": epochs, "clamped": dict(assembly.clamped)}
-    meta.update(assembly.meta)
-    return raster, Trace(var_names, rows, meta)
+    trace, epochs = _sweep(assembly, sweeps, burn_in, thin, update)
+    trace.meta["epochs"] = epochs
+    return raster, trace

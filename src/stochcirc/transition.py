@@ -16,18 +16,19 @@ without changing any conditional distribution. Zero weights are saturated
 built with one tables mapping specialize each distinct (table, axis) once
 and share its read-only row block.
 
-A wide color class of fixed-point Gibbs circuits runs as lanes: a _LaneGroup
-holds it as index arrays into one table of energy rows and into an int64
-value vector, with one uint64 xorshift word per circuit, and its one step
-updates every lane at once, bit-identical to updating the circuits one at a
-time. _lower lowers an assembly's wide groups once; each run binds their
-live members and quantizes their tables. mrf lowers a lattice straight to
-its two checkerboard groups.
+An assembly's registers are one int64 vector in sorted-name order. Scalar
+kernels read a list snapshot of it; a wide color class of fixed-point Gibbs
+circuits runs as lanes on it: a _LaneGroup of index arrays into one table of
+energy rows and into the vector, with one uint64 xorshift word per circuit,
+whose one step updates every lane at once, bit-identical to updating the
+circuits one at a time. _lower lowers wide groups once per assembly; each
+run binds their live members. mrf lowers a lattice to two such groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -108,10 +109,11 @@ class _FactorPart:
 
     The (arity, strides, float_rows) of a specialized table depend only on
     the table and the variable's axis, so parts built with the same tables
-    mapping share one read-only row block per distinct (table, axis).
+    mapping share one read-only row block per distinct (table, axis). keys
+    index a snapshot: the neighbors' names, or in an assembly their registers.
     """
 
-    __slots__ = ("neighbors", "strides", "float_rows", "rows", "arity")
+    __slots__ = ("neighbors", "keys", "strides", "float_rows", "rows", "arity")
 
     def __init__(self, factor: Factor, var: str, tables: dict):
         key = (factor.table.tobytes(), factor.table.shape, factor.vars.index(var))
@@ -126,7 +128,7 @@ class _FactorPart:
             float_rows = energy.reshape(-1)
             float_rows.flags.writeable = False
             entry = tables[key] = (arity, tuple(reversed(strides)), float_rows)
-        self.neighbors = tuple(v for v in factor.vars if v != var)
+        self.neighbors = self.keys = tuple(v for v in factor.vars if v != var)
         self.arity, self.strides, self.float_rows = entry
         self.rows = None  # set by quantize
 
@@ -138,8 +140,8 @@ class _FactorPart:
 
     def base_offset(self, snapshot) -> int:
         base = 0
-        for name, stride in zip(self.neighbors, self.strides):
-            base += snapshot[name] * stride
+        for key, stride in zip(self.keys, self.strides):
+            base += snapshot[key] * stride
         return base
 
 
@@ -338,41 +340,55 @@ class TransitionCircuit:
 class TransitionAssembly:
     """Circuits plus interaction graph, schedule groups, and clamps.
 
-    A scan_stream, when set, switches run() to random-scan mode: each sweep
-    draws variable indices uniformly (a mixture hybrid kernel) instead of
-    cycling the schedule groups.
+    The registers are one int64 vector, values, in the sorted-name order of
+    circuits, and index maps a name to its register. Kernel parts are bound
+    to read neighbors by register index, so a kernel serves one register
+    layout. A scan_stream, when set, switches run() to random-scan mode:
+    each sweep draws variable indices uniformly (a mixture hybrid kernel)
+    instead of cycling the schedule groups.
     """
 
     def __init__(self, circuits, edges, schedule, clamped=None, state=None,
                  meta=None, scan_stream=None):
-        self.circuits: dict[str, TransitionCircuit] = {c.var: c for c in circuits}
+        self.circuits: dict[str, TransitionCircuit] = {
+            c.var: c for c in sorted(circuits, key=lambda c: c.var)}
+        self.names = list(self.circuits)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.values = np.zeros(len(self.names), np.int64)
         self.edges = {tuple(sorted(e)) for e in edges}
         self.schedule: list[list[str]] = [list(g) for g in schedule]
-        self.clamped: dict[str, int] = dict(clamped or {})
+        self.clamped: dict[str, int] = {}
         self.scan_stream = scan_stream
-        self.state: dict[str, int] = dict(state or {})
-        for name, value in self.state.items():
-            self._check_value(name, value)
-        for name in self.circuits:
-            self.state.setdefault(name, 0)
-        for name, value in self.clamped.items():
-            self._check_value(name, value)
-            self.state[name] = value
+        for name, value in dict(state or {}).items():
+            self.values[self._register(name, value)] = value
+        for name, value in dict(clamped or {}).items():
+            self.clamp(name, value)
+        for circ in self.circuits.values():
+            for part in circ.kernel.parts:
+                keys = tuple(self.index[n] for n in part.neighbors)
+                if part.keys not in (part.neighbors, keys):
+                    raise ConfigError(f"{circ.var!r}: kernel bound to other registers")
+                part.keys = keys
         self.meta = dict(meta or {})
         self._validated = False
         self._lanes = None  # _lower(self), built on the first run
 
-    def _check_value(self, name, value):
+    @property
+    def state(self) -> MappingProxyType:  # a read-only copy, by name
+        return MappingProxyType(dict(zip(self.names, self.values.tolist())))
+
+    def _register(self, name, value) -> int:  # once value is checked
         if name not in self.circuits:
             raise DomainError(f"unknown variable {name!r}")
-        if not 0 <= value < self.circuits[name].arity:
+        if not isinstance(value, (int, np.integer)) or not (
+                0 <= value < self.circuits[name].arity):
             raise DomainError(f"value {value} outside domain of {name!r}")
+        return self.index[name]
 
     def clamp(self, name: str, value: int):
         """Fix a variable; takes effect on the next run without recompiling."""
-        self._check_value(name, value)
+        self.values[self._register(name, value)] = value
         self.clamped[name] = value
-        self.state[name] = value
 
     def unclamp(self, name: str):
         self.clamped.pop(name, None)
@@ -547,16 +563,16 @@ class _LaneGroup:
 
 
 def _lower(assembly: TransitionAssembly) -> dict:
-    """{group index: (names, reads, arrays, float table)} for each group the
-    lane kernel can take; built once per assembly.
+    """{group index: (sites, arrays, float table)} for each group the lane
+    kernel can take; built once per assembly.
 
     A group qualifies when it has at least LANE_MIN_WIDTH circuits, all
     fixed-point Gibbs kernels of one format whose integer weights fit
-    LANE_WEIGHT_BITS, and no name appears twice in the schedule. arrays are
-    the members' nbr, stride, offset and pad as _LaneGroup takes them, nbr
-    indexing reads, the names the group reads. The float table holds every
-    distinct specialized row block of the group once, as float energies,
-    followed by a zero block that padding parts read.
+    LANE_WEIGHT_BITS, and no name appears twice in the schedule. sites are
+    the members' registers, and arrays their nbr, stride, offset and pad as
+    _LaneGroup takes them, nbr holding register indices. The float table
+    holds every distinct specialized row block of the group once, as float
+    energies, followed by a zero block that padding parts read.
     """
     names = [n for group in assembly.schedule for n in group]
     if len(set(names)) != len(names):
@@ -572,11 +588,10 @@ def _lower(assembly: TransitionAssembly) -> dict:
                 type(kern) is not GibbsKernel or kern.fmt != fmt for kern in kernels):
             continue
         n_parts = max(1, max(len(kern.parts) for kern in kernels))
-        width = max((len(p.neighbors) for kern in kernels for p in kern.parts), default=0)
+        width = max((len(p.keys) for kern in kernels for p in kern.parts), default=0)
         nbr = np.zeros((len(group), n_parts, width), np.int64)
         stride = np.zeros_like(nbr)
         offset = np.full(nbr.shape[:2], -1, np.int64)
-        read_at: dict[str, int] = {}
         blocks: list[np.ndarray] = []
         block_at: dict[int, int] = {}  # id of a shared read-only row block
         size = 0
@@ -588,42 +603,39 @@ def _lower(assembly: TransitionAssembly) -> dict:
                     blocks.append(part.float_rows)
                     size += part.float_rows.size
                 offset[m, j] = block_at[key]
-                for t, (name, s) in enumerate(zip(part.neighbors, part.strides)):
-                    nbr[m, j, t] = read_at.setdefault(name, len(read_at))
-                    stride[m, j, t] = s
+                nbr[m, j, :len(part.keys)] = part.keys
+                stride[m, j, :len(part.strides)] = part.strides
         offset[offset < 0] = size
         blocks.append(np.zeros(k))
         pad = np.arange(k) >= np.array([[kern.arity] for kern in kernels])
-        lowered[gi] = (list(group), list(read_at), (nbr, stride, offset, pad),
-                       np.concatenate(blocks))
+        sites = np.array([assembly.index[n] for n in group], np.int64)
+        lowered[gi] = (sites, (nbr, stride, offset, pad), np.concatenate(blocks))
     return lowered
 
 
 def _bind_lanes(assembly: TransitionAssembly) -> dict:
-    """{group index: (_LaneGroup, table, fmt, index)} for the lowered groups
-    with at least LANE_MIN_WIDTH live circuits, all at one temperature.
+    """{group index: (_LaneGroup, table, fmt)} for the lowered groups with at
+    least LANE_MIN_WIDTH live circuits, all at one temperature.
 
-    The lanes are the live circuits, with their stream words loaded. They
-    read a value vector over index, the live names followed by the group's
-    reads, and write its head; table is the group's float table quantized
-    at the temperature.
+    The lanes are the live circuits, with their stream words loaded, and
+    they step assembly.values in place; table is the group's float table
+    quantized at the temperature.
     """
     if assembly._lanes is None:
         assembly._lanes = _lower(assembly)
+    free = np.ones(len(assembly.names), bool)
+    free[[assembly.index[n] for n in assembly.clamped]] = False
+    registers = list(assembly.circuits.values())
     bound = {}
-    for gi, (names, reads, arrays, float_table) in assembly._lanes.items():
-        live = [m for m, name in enumerate(names) if name not in assembly.clamped]
-        circuits = [assembly.circuits[names[m]] for m in live]
+    for gi, (sites, arrays, float_table) in assembly._lanes.items():
+        live = free[sites]
+        circuits = [registers[i] for i in sites[live].tolist()]
         temperatures = {c.kernel.temperature for c in circuits}
-        if len(live) >= LANE_MIN_WIDTH and len(temperatures) == 1:
-            index = [c.var for c in circuits] + reads
-            at = np.array(live)
-            nbr, stride, offset, pad = (a[at] for a in arrays)
-            group = _LaneGroup(np.arange(len(live)), nbr + len(live), stride, offset, pad,
-                               [c.stream.state for c in circuits], index.__getitem__)
+        if len(circuits) >= LANE_MIN_WIDTH and len(temperatures) == 1:
+            group = _LaneGroup(sites[live], *(a[live] for a in arrays),
+                               [c.stream.state for c in circuits], assembly.names.__getitem__)
             fmt = circuits[0].kernel.fmt
-            table = _quantize_rows(float_table, fmt, temperatures.pop())
-            bound[gi] = (group, table, fmt, index)
+            bound[gi] = (group, _quantize_rows(float_table, fmt, temperatures.pop()), fmt)
     return bound
 
 
@@ -631,11 +643,12 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
            thin: int, update, lanes: bool = False):
     """The sweep loop shared by every realization of the transitions.
 
-    update(name, snapshot, epoch) returns the circuit's next value. Within a
-    group every circuit reads the snapshot taken at group start; in
-    random-scan mode each draw reads the live state. An epoch is one
-    schedule group or one random-scan draw. A row is recorded after each
-    retained sweep. Returns (var_names, rows, burn_in, epochs).
+    update(i, snapshot, epoch) returns register i's next value. Within a
+    group every circuit reads a list of the registers taken at group start;
+    in random-scan mode each draw reads a list kept live through the sweep.
+    An epoch is one schedule group or one random-scan draw. A row of the
+    registers is recorded after each retained sweep. Returns (Trace,
+    epochs); the trace's metadata is the one every realization records.
 
     With lanes set (update must then be the kernel's own step), each
     lowered group with at least LANE_MIN_WIDTH live circuits runs as one
@@ -661,50 +674,46 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
         assembly._validated = True
     if burn_in is None:
         burn_in = 10 * len(assembly.circuits)
-    var_names = sorted(assembly.circuits)
-    state = assembly.state
+    values, index, clamped = assembly.values, assembly.index, assembly.clamped
     rows = []
     epoch = 0
     scan = assembly.scan_stream
-    unclamped = [n for n in var_names if n not in assembly.clamped]
-    groups = [[n for n in group if n not in assembly.clamped]
-              for group in assembly.schedule]
+    unclamped = [i for i, n in enumerate(assembly.names) if n not in clamped]
+    groups = [[index[n] for n in group if n not in clamped] for group in assembly.schedule]
     bound = _bind_lanes(assembly) if lanes and scan is None else {}
     try:
         for sweep in range(burn_in + sweeps):
             if scan is not None and unclamped:
                 # mixture kernel: one sweep = |unclamped| uniformly drawn
                 # singleton updates
+                live = values.tolist()
                 for _ in range(len(unclamped)):
-                    name = unclamped[scan.next_below(len(unclamped))]
-                    state[name] = update(name, state, epoch)
+                    i = unclamped[scan.next_below(len(unclamped))]
+                    live[i] = values[i] = update(i, live, epoch)
                     epoch += 1
             else:
-                for gi, live in enumerate(groups):
+                for gi, members in enumerate(groups):
                     if gi in bound:
-                        group, table, fmt, index = bound[gi]
-                        values = np.fromiter(map(state.__getitem__, index), np.int64,
-                                             len(index))
-                        try:
-                            group.step(table, fmt, values)
-                        finally:
-                            # sites are 0, 1, ... and index starts with the live names
-                            state.update(zip(index, values[group.sites].tolist()))
-                    elif live:
-                        snapshot = dict(state)
-                        for name in live:
-                            state[name] = update(name, snapshot, epoch)
+                        group, table, fmt = bound[gi]
+                        group.step(table, fmt, values)
+                    elif members:
+                        snapshot = values.tolist()
+                        for i in members:
+                            values[i] = update(i, snapshot, epoch)
                     epoch += 1
             if sweep >= burn_in and (sweep - burn_in) % thin == 0:
-                rows.append(tuple(state[n] for n in var_names))
+                rows.append(tuple(values.tolist()))
     finally:
-        for group, _, _, index in bound.values():
-            words, draws = group.words.tolist(), group.draws.tolist()
-            for name, word, count in zip(index, words, draws):
-                stream = assembly.circuits[name].stream
+        circuits = list(assembly.circuits.values())
+        for group, _, _ in bound.values():
+            for site, word, count in zip(group.sites.tolist(), group.words.tolist(),
+                                         group.draws.tolist()):
+                stream = circuits[site].stream
                 stream.state = word
                 stream.draws_consumed += count
-    return var_names, rows, burn_in, epoch
+    meta = {"sweeps": sweeps, "burn_in": burn_in, "thin": thin,
+            "clamped": dict(assembly.clamped), **assembly.meta}
+    return Trace(list(assembly.names), rows, meta), epoch
 
 
 def run(assembly: TransitionAssembly, sweeps: int, burn_in: int | None = None,
@@ -718,24 +727,15 @@ def run(assembly: TransitionAssembly, sweeps: int, burn_in: int | None = None,
     transition.
     """
     rate = fault.bit_flip_rate if fault is not None else 0.0
-    circuits = assembly.circuits
+    circuits = list(assembly.circuits.values())
 
-    def update(name, snapshot, epoch):
-        circ = circuits[name]
-        value = circ.kernel.step(snapshot[name], snapshot, circ.stream)
+    def update(i, snapshot, epoch):
+        circ = circuits[i]
+        value = circ.kernel.step(snapshot[i], snapshot, circ.stream)
         if rate > 0.0:
             value = _apply_fault(value, circ, rate)
         return value
 
-    var_names, rows, burn_in, _ = _sweep(assembly, sweeps, burn_in, thin, update,
-                                         lanes=rate == 0.0)
-    meta = {
-        "sweeps": sweeps,
-        "burn_in": burn_in,
-        "thin": thin,
-        "fault_rate": rate,
-        "clamped": dict(assembly.clamped),
-        "schedule_groups": [list(g) for g in assembly.schedule],
-    }
-    meta.update(assembly.meta)
-    return Trace(var_names, rows, meta)
+    trace, _ = _sweep(assembly, sweeps, burn_in, thin, update, lanes=rate == 0.0)
+    trace.meta.update(fault_rate=rate, schedule_groups=[list(g) for g in assembly.schedule])
+    return trace

@@ -374,7 +374,26 @@ def test_dpmm_honors_an_explicit_format(runner, tmp_path):
     assert _dpmm_outputs(runner, tmp_path, "wide", ["--format", "16,8"]) == default
     narrow = _dpmm_outputs(runner, tmp_path, "narrow", ["--format", "8,4"])
     assert narrow[0] != default[0]
-    assert narrow[1] == default[1]
+    assert narrow[1] != default[1]
+    assert json.loads(narrow[1])["params"]["format"] == [8, 4]
+
+
+@pytest.mark.parametrize("command", [["query"], ["spike", "run"]], ids=["query", "spike"])
+def test_chain_meta_records_the_format_and_the_run(runner, tmp_path, model_file, command):
+    metas = {}
+    for fmt in ("8,4", "float"):
+        out = tmp_path / fmt
+        result = invoke(runner, ["--seed", "5", "--out-dir", str(out), "--format", fmt]
+                        + command + [str(model_file), "--evidence", "C=1",
+                                     "--sweeps", "20", "--burn-in", "3"])
+        assert result.exit_code == 0, result.output
+        name = "_".join(command) + "_meta.json"
+        metas[fmt] = json.loads((out / name).read_text())["params"]
+    assert metas["8,4"] != metas["float"]
+    assert metas["8,4"]["format"] == [8, 4] and metas["float"]["format"] is None
+    for params in metas.values():
+        assert (params["seed"], params["kernel"], params["sweeps"], params["burn_in"],
+                params["clamped"]) == (5, "gibbs", 20, 3, {"C": 1})
 
 
 @pytest.mark.parametrize("fmt, message", [("float", "fixed-point"), ("32,0", "wider than"),

@@ -231,6 +231,15 @@ def test_table_gate_clamps_a_short_row_to_the_last_output():
     assert gate.sample(0, FixedUnitStream(0.5)) == 1
 
 
+def test_table_gate_never_clamps_to_an_output_of_probability_zero():
+    # the row sums to 1 - 1e-13, inside ROW_SUM_TOL, and its last two
+    # outputs have probability zero
+    gate = TableGate(Cpt(0, 2, [[0.3, 0.7 - 1e-13, 0.0, 0.0]]))
+    assert gate.sample(0, FixedUnitStream(1.0 - 2.0 ** -53)) == 1
+    assert gate.sample(0, FixedUnitStream(0.3)) == 1
+    assert gate.sample(0, FixedUnitStream(0.0)) == 0
+
+
 def test_theta_sample_is_the_theta_gate():
     s1, s2 = EntropyStream(44), EntropyStream(44)
     gate = ThetaGate(5)

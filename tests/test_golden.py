@@ -129,6 +129,11 @@ def artifact_digests(case, root):
 # mrf.solve learned to lower lattices straight to checkerboard lanes: they
 # cover the T=1 ladder, three lane formats, odd-parity color 0 on 2xN and
 # 1xN lattices, nine motion candidates and the serial reference fallback.
+# The query_meta.json and spike_run_meta.json digests were re-pinned when
+# query and spike run began to record their trace's metadata (seed, kernel,
+# schedule, format, burn-in, clamps), and dpmm_run_meta.json when dpmm run
+# began to record its format: before, the metadata of runs that drew
+# differently (three formats, or three schedules of spike run) was identical.
 GOLDEN = {
     'compile': {
         'assembly.json': '89b9b64118603af5a2afeb71ace77582cb21913c15b929f7ac1eca254965bd55',
@@ -140,7 +145,7 @@ GOLDEN = {
         'cluster_00_n17.pgm': '8d762cd9f4057ab71ae9470b4d090d734ee8bb7b4321a21e6fe4e732818b6a83',
         'cluster_01_n13.pgm': 'e8c0ff8b92cacd01c25829736a2563c6b7860a8df53b3fd26d4ab43da57c1481',
         'cluster_counts.csv': '791246d2bdc94720470f51e2a4ca3edd4f7428f08db4daad5235e0dbbbd694ca',
-        'dpmm_run_meta.json': '201cdb81550c9319012235cc434e264cf5704cd5cc37f750ca9c2363572929c3',
+        'dpmm_run_meta.json': 'ad62b3611dade4c1c934dbd804bba5f141ee4864d6a70e48a2f09883e916f409',
         'stdout': 'b310794a1086ced0a8cb1b00911cee23500d709bfca2dd9c71f1de4e42b897ee',
     },
     'fault-report': {
@@ -172,47 +177,47 @@ GOLDEN = {
     },
     'query-parallel-16,8': {
         'marginals.csv': '5aabcd9808c3adcaae7058373b1ef9e10752a3eb5ed995a9d56b37fdd18f0675',
-        'query_meta.json': 'f1c27e345e11812b9cfffcd04cfd0f1d0383ff49468acece451d17b707f7ef73',
+        'query_meta.json': 'e6c856733fbd4d2e3c660e7f6fdbab7a713fc198ea6359f8448f2bf70bf5c4be',
         'stdout': '7891f889007060e545210eba9d261c4f65099577a192c6c891eff1eaf05ead55',
     },
     'query-parallel-8,4': {
         'marginals.csv': '1a9120975285dec161fac35e77c51b51df8a51ffa763bb104226e051f18a7f34',
-        'query_meta.json': 'f1c27e345e11812b9cfffcd04cfd0f1d0383ff49468acece451d17b707f7ef73',
+        'query_meta.json': '8758916ab4c8f302e63f4619a14517ebcc0f382bd6160f16aca2f4493ddec156',
         'stdout': '7891f889007060e545210eba9d261c4f65099577a192c6c891eff1eaf05ead55',
     },
     'query-parallel-float': {
         'marginals.csv': 'b0376f96ad3f4317cd25a3a195a67ff0b63324d15a9e1f3c60d48269912ea1b5',
-        'query_meta.json': 'f1c27e345e11812b9cfffcd04cfd0f1d0383ff49468acece451d17b707f7ef73',
+        'query_meta.json': '60f8eeb1302e79703b3662b6ddcb9e2e1cd0b9249cf0e3be8bada3a4a80af643',
         'stdout': '7891f889007060e545210eba9d261c4f65099577a192c6c891eff1eaf05ead55',
     },
     'query-random-scan-16,8': {
         'marginals.csv': '22cf613e4af83398dadc8a0bb6c9d293013c0642d51e7eb2d1bb3a409cc497de',
-        'query_meta.json': 'e061c8b2c81fd2a83a66de124410f9904daa7831354c7b166bbfba6fe67c157d',
+        'query_meta.json': '67a6059033385bfad01336d79eed928a25068f7cf827b0e1603131f9685b85a8',
         'stdout': '7891f889007060e545210eba9d261c4f65099577a192c6c891eff1eaf05ead55',
     },
     'query-random-scan-8,4': {
         'marginals.csv': '5125c64db99253f1e383e587af23abad518650f82d0375a5d206aa3a7bac063f',
-        'query_meta.json': 'e061c8b2c81fd2a83a66de124410f9904daa7831354c7b166bbfba6fe67c157d',
+        'query_meta.json': 'c2a782d70e7a2c02b2ad4b33f05ca2236f77031f4419519eea4872b0720c0b60',
         'stdout': '7891f889007060e545210eba9d261c4f65099577a192c6c891eff1eaf05ead55',
     },
     'query-random-scan-float': {
         'marginals.csv': 'dc244c287f3823551302fe6462d9843f04f05253a539074388bb29981994db54',
-        'query_meta.json': 'e061c8b2c81fd2a83a66de124410f9904daa7831354c7b166bbfba6fe67c157d',
+        'query_meta.json': '4d82a9a9f2a22e26bbc86525bdff93c088ab39f849e64bc9acefe83e28f9149b',
         'stdout': '7891f889007060e545210eba9d261c4f65099577a192c6c891eff1eaf05ead55',
     },
     'query-serial-16,8': {
         'marginals.csv': '9d9663d12e5ea09d1ed6f7e8c07020c8809a01e1c1b92320529030273be0efe4',
-        'query_meta.json': '74ead59160eac55e884ef47f2e5510a8f9aca68fa1f1a0c2626a360fac846d26',
+        'query_meta.json': '5b84540b999fe9618d7a993e469c88c193492b45324cc536131f10d35985b645',
         'stdout': '7891f889007060e545210eba9d261c4f65099577a192c6c891eff1eaf05ead55',
     },
     'query-serial-8,4': {
         'marginals.csv': 'd0c48f5287b291c1bb94b4978fb31b0afb05fd92c7d7374babc07068f3aad1c6',
-        'query_meta.json': '74ead59160eac55e884ef47f2e5510a8f9aca68fa1f1a0c2626a360fac846d26',
+        'query_meta.json': '2c2df39b95e93d49bdd265ab1bd89bd25305aba7455bc40ab24fc50615740a84',
         'stdout': '7891f889007060e545210eba9d261c4f65099577a192c6c891eff1eaf05ead55',
     },
     'query-serial-float': {
         'marginals.csv': 'd096ed7cdb76ec730ef5c5287a4a2838ee12e83ca5261838dad4ef519fd6efa8',
-        'query_meta.json': '74ead59160eac55e884ef47f2e5510a8f9aca68fa1f1a0c2626a360fac846d26',
+        'query_meta.json': '1e0daec1b5fa8572ba245126afdf00efb74221f3de5dc02be0c6bc3daecfc270',
         'stdout': '7891f889007060e545210eba9d261c4f65099577a192c6c891eff1eaf05ead55',
     },
     'run-parallel-16,8': {
@@ -262,55 +267,55 @@ GOLDEN = {
     },
     'spike-parallel-16,8': {
         'raster.csv': 'd8ce3cd99ae18cd1ccd778b5381a3ba86394c3bd66f7b130166b4d7dbabde382',
-        'spike_run_meta.json': 'acac788961199c2a146be945f1b403bb1b3ed9e826bddd3989f2227da748a13c',
+        'spike_run_meta.json': '990f831dc886fdd11b2e6785019b5087fe151dffc436dc09e948b3fcfa2eadc8',
         'spike_trace.csv': 'f94bb50b9abc262a7464544b0043fe36634f97e5bc5b30ec6918e610b9a4dbec',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },
     'spike-parallel-8,4': {
         'raster.csv': 'de3cc7c327f3dd79ce2ff0c978f801d3369406299fb8a88d6fa768caaedafd1a',
-        'spike_run_meta.json': 'acac788961199c2a146be945f1b403bb1b3ed9e826bddd3989f2227da748a13c',
+        'spike_run_meta.json': 'fac68f41671feb613782b943235d96c68ee977f65e3af11390dc87251f5b893e',
         'spike_trace.csv': '598191fafe5a91a61be929486bd1d7de755fff8bd0d2fe61cccfaa206fab0821',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },
     'spike-parallel-float': {
         'raster.csv': 'b35e863843f1c797eff38d848ba1232ebcb7d6bb3e4ad2a6f6658e6cb68692ba',
-        'spike_run_meta.json': 'acac788961199c2a146be945f1b403bb1b3ed9e826bddd3989f2227da748a13c',
+        'spike_run_meta.json': 'eb139c56f58218d1df6849285fc97a48e7a76ad79cd5c44cce6f756d175d6b73',
         'spike_trace.csv': '0e3b1724c3df6e66cfccb2928b3ba71a9f9097b1e5baebc9f3783047a0a89f36',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },
     'spike-random-scan-16,8': {
         'raster.csv': 'b60a78c9b88dbbd45562e84293dd9d7c54c1724b7c66a1ac4ba5a94c75ca902d',
-        'spike_run_meta.json': 'acac788961199c2a146be945f1b403bb1b3ed9e826bddd3989f2227da748a13c',
+        'spike_run_meta.json': '045dcf4576b99c9791a1748181e1f2846a89da81ae1529ec7b1d07e8542f4c9f',
         'spike_trace.csv': '70dd2dc282a0cea21973be1d6d5f224a0301bfe290d9848f8a5ce6b51155bcc3',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },
     'spike-random-scan-8,4': {
         'raster.csv': '8811bebebdbb38f25dcec6b553bbf3cd37e9fb28a6d37b0c773f97d98c2d4776',
-        'spike_run_meta.json': 'acac788961199c2a146be945f1b403bb1b3ed9e826bddd3989f2227da748a13c',
+        'spike_run_meta.json': 'ea637bba2bc1325a7fe40f7fddbc6721a98595443b0998817e2337b5ed23223e',
         'spike_trace.csv': '6087924fbb50bad7930aa7ee925c573dc22e10878593135d816d0bff878ece0b',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },
     'spike-random-scan-float': {
         'raster.csv': '4744f284c49d3fc47c817556464d111cc821eb658934e23fb6b8c91388acf0ae',
-        'spike_run_meta.json': 'acac788961199c2a146be945f1b403bb1b3ed9e826bddd3989f2227da748a13c',
+        'spike_run_meta.json': '101afae4371018e7ca98d00420467a2dd33f983e7dd6e1f5f715e7c3e6b77eac',
         'spike_trace.csv': '70dd2dc282a0cea21973be1d6d5f224a0301bfe290d9848f8a5ce6b51155bcc3',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },
     'spike-serial-16,8': {
         'raster.csv': '4a5d193d862bce3ce9149e8cc81692c9fa91b92737c3cba9f1b5f869ca11fc24',
-        'spike_run_meta.json': 'acac788961199c2a146be945f1b403bb1b3ed9e826bddd3989f2227da748a13c',
+        'spike_run_meta.json': '8f999662757a835587e14f793db7eb678a48a477d77e2c165c2ff88b8fa477d8',
         'spike_trace.csv': '2031793c221f4c148bed65bbe80308b909fed730f93cc5fdca33f6d524c5c40a',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },
     'spike-serial-8,4': {
         'raster.csv': 'b4b5a88434e1d561409ae10e8e1cb1d8ac8798214ee75f9e3a6df715c2be40e2',
-        'spike_run_meta.json': 'acac788961199c2a146be945f1b403bb1b3ed9e826bddd3989f2227da748a13c',
+        'spike_run_meta.json': '136d34c3beac3b8d05b69a5f1c6c72171b4e4b346ecdb7e9a3d46f54e033e5ef',
         'spike_trace.csv': '6c077e9374f732aaba5ce52728c685a08fe8387fef125c8c8ed9a001badbf5f0',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },
     'spike-serial-float': {
         'raster.csv': '58051620cf809368ee0fbe2fdfe0580ea6af08f158574b6cdf56bcb48700b0d4',
-        'spike_run_meta.json': 'acac788961199c2a146be945f1b403bb1b3ed9e826bddd3989f2227da748a13c',
+        'spike_run_meta.json': '78ab69d9225b06e40a75ba970423602e565fe4944ed896b9ecca189b99de0dda',
         'spike_trace.csv': '2031793c221f4c148bed65bbe80308b909fed730f93cc5fdca33f6d524c5c40a',
         'stdout': 'b3cbe8b1c2dc481ec6c68f575fa599b5e725e8ee1b089054786dda6ee102ccde',
     },

@@ -345,6 +345,67 @@ def test_initial_state_is_checked_against_the_domains(state):
                            state=state)
 
 
+def _zam_assembly(**kwargs):
+    """A chain Z - A - M compiled, then rebuilt as an assembly with kwargs."""
+    graph = FactorGraph([Variable(n, 3) for n in ("Z", "A", "M")],
+                        [Factor("za", ["Z", "A"], np.arange(1.0, 10.0).reshape(3, 3), [3, 3]),
+                         Factor("am", ["A", "M"], np.ones((3, 3)), [3, 3])])
+    asm = compile_graph(graph, seed=44)
+    return TransitionAssembly(list(asm.circuits.values()), asm.edges, asm.schedule,
+                              meta=asm.meta, **kwargs)
+
+
+def test_registers_are_one_vector_in_sorted_name_order():
+    asm = _zam_assembly(state={"Z": 2, "M": 1})
+    assert asm.names == sorted(asm.names) == ["A", "M", "Z"]
+    assert asm.values.dtype == np.int64
+    assert dict(asm.state) == {"A": 0, "M": 1, "Z": 2}
+    trace = run(asm, 4, burn_in=0)
+    assert trace.var_names == asm.names
+    assert trace.rows[-1] == tuple(asm.values.tolist())
+    for name in asm.names:
+        assert asm.values[asm.index[name]] == asm.state[name]
+    # kernels read their neighbors by register index
+    assert asm.circuits["A"].kernel.parts[0].keys in ((asm.index["Z"],), (asm.index["M"],))
+
+
+def test_state_is_read_only():
+    asm = _zam_assembly()
+    with pytest.raises(TypeError):
+        asm.state["A"] = 1
+    assert asm.state["A"] == 0
+
+
+def test_clamp_writes_the_register_before_the_next_run():
+    asm = _zam_assembly()
+    asm.clamp("M", 2)
+    assert asm.values[asm.index["M"]] == 2
+    assert run(asm, 5, burn_in=0).column("M") == [2] * 5
+    asm.unclamp("M")
+    asm.clamp("Z", 1)
+    assert asm.values[asm.index["Z"]] == 1
+    assert run(asm, 5, burn_in=0).column("Z") == [1] * 5
+
+
+def test_a_kernel_serves_one_register_layout():
+    asm = _zam_assembly()
+    unary = GibbsKernel("B", 2, [Factor("u", ["B"], [1.0, 2.0], [2])], DEFAULT_FORMAT)
+    circuits = list(asm.circuits.values()) + [TransitionCircuit("B", 2, unary, EntropyStream(3))]
+    # "B" sorts between "A" and "M", so A's neighbors would move to other registers
+    with pytest.raises(ConfigError, match="kernel bound to other registers"):
+        TransitionAssembly(circuits, asm.edges, asm.schedule + [["B"]])
+    assert run(asm, 3, burn_in=0).rows == run(_zam_assembly(), 3, burn_in=0).rows
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", None],
+                         ids=["fraction", "integral-float", "string", "none"])
+def test_register_values_must_be_integers(value):
+    with pytest.raises(DomainError):
+        _zam_assembly(state={"A": value})
+    with pytest.raises(DomainError):
+        _zam_assembly().clamp("A", value)
+
+
 def test_mh_explicit_proposal_never_proposes_past_the_domain():
     # ten normalized 0.1 entries sum to 1 - 2^-53, the largest unit draw
     flat = Factor("u", ["X"], [1.0] * 10, [10])
