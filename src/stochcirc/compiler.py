@@ -22,6 +22,7 @@ from .transition import (
     MhKernel,
     TransitionAssembly,
     TransitionCircuit,
+    _EnergyTable,
     run,
 )
 
@@ -75,14 +76,14 @@ def compile(graph: FactorGraph, kernel: str = "gibbs",
     master = EntropyStream(seed)
     names = sorted(graph.var_names)
     circuits = []
-    tables = {}  # specialized row blocks shared across this assembly's kernels
+    table = _EnergyTable(fmt)  # the one set of rows this assembly's kernels read
     for idx, name in enumerate(names):
         touching = graph.factors_touching(name)
         arity = graph.arity[name]
         if kernel == "gibbs":
-            k = GibbsKernel(name, arity, touching, fmt, tables=tables)
+            k = GibbsKernel(name, arity, touching, fmt, table=table)
         else:
-            k = MhKernel(name, arity, touching, fmt, tables=tables)
+            k = MhKernel(name, arity, touching, fmt, table=table)
         circuits.append(TransitionCircuit(name, arity, k, master.fork(idx)))
     edges = graph.interaction_edges()
     coloring = color_interaction_graph(graph.var_names, edges)

@@ -22,7 +22,7 @@ and hardware behavior agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import digamma
@@ -45,6 +45,9 @@ class EnergyFormat:
 
     bits: int
     frac: int
+    #: Saturation sentinel: the largest raw word. Set once, in __post_init__,
+    #: with the other fields, so reading any of them stays a plain lookup.
+    max_raw: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.bits <= 32:
@@ -53,11 +56,7 @@ class EnergyFormat:
             raise ConfigError(
                 f"fraction bits must be in [0, {self.bits}], got {self.frac}"
             )
-
-    @property
-    def max_raw(self) -> int:
-        """Saturation sentinel: the largest raw word."""
-        return (1 << self.bits) - 1
+        object.__setattr__(self, "max_raw", (1 << self.bits) - 1)
 
     @property
     def resolution(self) -> float:

@@ -14,12 +14,13 @@ module.
 
 For a fixed-point format whose weights fit the lane kernel and the
 parallel schedule, solve() skips the factor graph: it builds the two
-checkerboard color classes as transition._LaneGroup lanes (one table of
-specialized energy rows, index arrays for the 4-stencil, one uint64 stream
-word per site) over one label vector laid out as the compiled assembly's
-registers, keeps them loaded for the whole annealing ladder, and
-requantizes the table once per rung. Each sweep is two calls of the lane
-step that compiled assemblies run on their register vector.
+checkerboard color classes as transition._LaneGroup lanes (index arrays for
+the 4-stencil into one transition._EnergyTable of specialized energy rows,
+one uint64 stream word per site) over one label vector laid out as the
+compiled assembly's registers, and keeps them loaded for the whole
+annealing ladder. Each rung sets the table's temperature, which quantizes
+its rows once. Each sweep is two calls of the lane step that compiled
+assemblies run on their register vector.
 Chromatic Gibbs is exact when each color class updates in parallel against
 the other's state, and the lowering repeats the compiled path's rows,
 streams, coloring and draws, so its labels, energies and stream words are
@@ -38,7 +39,7 @@ from .entropy import fork_states
 from .errors import ConfigError, NoSupportError, ShapeError
 from .factorgraph import Factor, FactorGraph, Variable
 from .lowprec import DEFAULT_FORMAT, EnergyFormat
-from .transition import _energy_rows, _lane_weights_fit, _LaneGroup, _quantize_rows, run
+from .transition import _energy_rows, _EnergyTable, _lane_weights_fit, _LaneGroup, run
 
 EVIDENCE_CAP = 32.0       # gray levels; bounds energies for fixed point
 EVIDENCE_SCALE = 8.0      # gray levels per bit of energy
@@ -225,7 +226,7 @@ class _Checkerboard:
     """A lattice lowered straight to its two checkerboard lane groups.
 
     Sites are numbered row-major, as the compiled assembly's registers are,
-    and the lanes' value vector is the label vector state. The float table
+    and the lanes' value vector is the label vector state. The energy table
     holds every site's unary rows, the smoothness rows a site reads for its
     east or south neighbor (the pair table's first axis is the site's),
     those for its west or north neighbor (its second axis), and a zero
@@ -246,12 +247,11 @@ class _Checkerboard:
         if (peak <= 0.0).any():
             i, j = divmod(int((peak[:, 0] <= 0.0).argmax()), w)
             raise NoSupportError(f"factor 'ev_{mrf.site_name(i, j)}' has an all-zero table")
-        self.float_table = np.concatenate([
-            _energy_rows(unary, peak).reshape(-1),
-            _energy_rows(np.moveaxis(pair, 0, -1), pair.max()).reshape(-1),
-            _energy_rows(pair, pair.max()).reshape(-1),
-            np.zeros(d)])
-        first, second, zero = n * d, n * d + d * d, n * d + 2 * d * d
+        table = self.table = _EnergyTable(fmt)
+        unary_at = table.add("unary", _energy_rows, unary, peak)[0]
+        first = table.add("site first", _energy_rows, np.moveaxis(pair, 0, -1), pair.max())[0]
+        second = table.add("site second", _energy_rows, pair, pair.max())[0]
+        zero = table.add("zeros", np.zeros, d)[0]
         sites = np.arange(n)
         row, col = np.divmod(sites, w)
         stencil = [(col + 1 < w, 1, first), (row + 1 < h, w, first),
@@ -259,8 +259,8 @@ class _Checkerboard:
         nbr = np.stack([sites] + [np.where(ok, sites + step, sites)
                                   for ok, step, _ in stencil], axis=1)
         stride = np.stack([np.zeros_like(sites)] + [ok * d for ok, _, _ in stencil], axis=1)
-        offset = np.stack([sites * d] + [np.where(ok, block, zero)
-                                         for ok, _, block in stencil], axis=1)
+        offset = np.stack([unary_at + sites * d] + [np.where(ok, block, zero)
+                                                    for ok, _, block in stencil], axis=1)
         degree = sum(ok.astype(int) for ok, _, _ in stencil)
         parity = (row + col) % 2
         color = parity != parity[degree.argmax()]
@@ -269,19 +269,18 @@ class _Checkerboard:
         def name(site: int) -> str:
             return mrf.site_name(*divmod(site, w))
 
-        self.groups = [_LaneGroup(g, nbr[g], stride[g], offset[g], pad, states[g], name)
+        self.groups = [_LaneGroup(g, nbr[g], stride[g], offset[g], pad, states[g], name, table)
                        for g in (sites[~color], sites[color]) if g.size]
-        self.fmt = fmt
         self.shape = (h, w)
         self.state = np.zeros(n, np.int64)
 
     def sweeps(self, temperature: float, n: int):
         """n sweeps at temperature; yields the live label grid after each."""
-        table = _quantize_rows(self.float_table, self.fmt, temperature)
+        self.table.set_temperature(temperature)
         grid = self.state.reshape(self.shape)
         for _ in range(n):
             for group in self.groups:
-                group.step(table, self.fmt, self.state)
+                group.step(self.state)
             yield grid
 
     def labels(self) -> np.ndarray:

@@ -13,27 +13,37 @@ is last and every row (one per neighbor configuration) is renormalized to
 min zero, which keeps fixed-point sums well inside the representable range
 without changing any conditional distribution. Zero weights are saturated
 ("impossible") and additions clamp into the saturation sentinel. Kernels
-built with one tables mapping specialize each distinct (table, axis) once
-and share its read-only row block.
+read their rows from an _EnergyTable, which holds each distinct (table,
+axis) block once and quantizes them all at one temperature. compile builds
+one table per assembly, so its kernels anneal together; a kernel built
+alone gets its own.
 
 An assembly's registers are one int64 vector in sorted-name order. Scalar
 kernels read a list snapshot of it; a wide color class of fixed-point Gibbs
-circuits runs as lanes on it: a _LaneGroup of index arrays into one table of
-energy rows and into the vector, with one uint64 xorshift word per circuit,
-whose one step updates every lane at once, bit-identical to updating the
-circuits one at a time. _lower lowers wide groups once per assembly; each
-run binds their live members. mrf lowers a lattice to two such groups.
+circuits runs as lanes on it: a _LaneGroup of index arrays into their table
+and into the vector, with one uint64 xorshift word per circuit, whose one
+step updates every lane at once, bit-identical to updating the circuits one
+at a time. _lower lowers wide groups once per assembly; each run binds their
+live members. mrf lowers a lattice to two such groups on a table of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from .entropy import EntropyStream
-from .errors import ConfigError, DomainError, NoSupportError, ScheduleViolationError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NoSupportError,
+    ScheduleViolationError,
+    UnknownVariableError,
+)
 from .factorgraph import Factor
 from .lowprec import (
     MULTIPLIER_BITS,
@@ -52,19 +62,13 @@ LANE_MIN_WIDTH = 16
 LANE_WEIGHT_BITS = 62
 
 
-def _specialized_energy_table(factor: Factor, var: str):
-    """Float energy table with var's axis last and per-row minimum zero.
-
-    Zero weights become +inf. Returns (neighbor names, flat row-major table,
-    arity of var).
-    """
-    idx = factor.vars.index(var)
-    moved = np.moveaxis(factor.table, idx, -1)
-    neighbors = tuple(v for v in factor.vars if v != var)
+def _specialized_energy_table(factor: Factor, var: str) -> np.ndarray:
+    """Float energies of the factor with var's axis last and per-row minimum
+    zero; zero weights become +inf."""
     peak = factor.table.max()
     if peak <= 0.0:
         raise NoSupportError(f"factor {factor.name!r} has an all-zero table")
-    return neighbors, _energy_rows(moved, peak), moved.shape[-1]
+    return _energy_rows(np.moveaxis(factor.table, factor.vars.index(var), -1), peak)
 
 
 def _energy_rows(weights: np.ndarray, peak) -> np.ndarray:
@@ -97,85 +101,119 @@ def _no_support(var: str) -> NoSupportError:
     return NoSupportError(f"variable {var!r}: conditional has no support", variable=var)
 
 
-def _requantize(kernel):
-    """Bring a kernel's rows to its recorded temperature."""
-    for p in kernel.parts:
-        p.quantize(kernel.fmt, kernel.temperature)
-    kernel._stale = False
+class _EnergyTable:
+    """One format's energy rows, at one temperature, for kernels and lanes.
+
+    blocks maps a key, (table bytes, shape, axis) for a factor, to the
+    (offset, shape, read-only flat float rows) of its specialized rows, held
+    once. Blocks are only appended, so an offset stays valid; the zeros that
+    lanes read for missing parts are a block like any other. The first read
+    after an add or a temperature change quantizes once: raw is int64 raw
+    words (energies / T on the float path), and rows, its Python list for
+    scalar kernels, is built on first read. Both are cached attributes, so
+    the read a kernel makes on every conditional is a lookup, not a call.
+    """
+
+    def __init__(self, fmt: EnergyFormat | None):
+        self.fmt = fmt
+        self.temperature = 1.0
+        self.blocks: dict = {}
+        self.size = 0
+
+    def add(self, key, specialize, *args) -> tuple:
+        """key's entry in blocks; when key is new, specialize(*args) gives its
+        float energies, candidate axis last."""
+        entry = self.blocks.get(key)
+        if entry is None:
+            energy = specialize(*args)
+            flat = energy.reshape(-1)
+            flat.flags.writeable = False
+            entry = self.blocks[key] = (self.size, energy.shape, flat)
+            self.size += flat.size
+            self._drop_quantized()
+        return entry
+
+    def set_temperature(self, temperature: float):
+        if temperature <= 0:
+            raise ConfigError(f"temperature must be positive, got {temperature}")
+        if temperature != self.temperature:
+            self.temperature = temperature
+            self._drop_quantized()
+
+    def _drop_quantized(self):
+        self.__dict__.pop("raw", None)
+        self.__dict__.pop("rows", None)
+
+    @cached_property
+    def raw(self) -> np.ndarray:
+        # the empty start serves a table of factorless kernels
+        floats = np.concatenate([np.empty(0)] + [b for _, _, b in self.blocks.values()])
+        return (floats / self.temperature if self.fmt is None
+                else _quantize_rows(floats, self.fmt, self.temperature))
+
+    @cached_property
+    def rows(self) -> list:
+        return self.raw.tolist()
 
 
 class _FactorPart:
     """One factor's contribution to a variable's conditional, precompiled.
 
-    The (arity, strides, float_rows) of a specialized table depend only on
-    the table and the variable's axis, so parts built with the same tables
-    mapping share one read-only row block per distinct (table, axis). keys
-    index a snapshot: the neighbors' names, or in an assembly their registers.
+    Each distinct (table, axis) is specialized once per _EnergyTable, so
+    parts of the same (table, axis) on one table share the block at offset.
+    keys index a snapshot: the neighbors' names, or in an assembly their
+    registers.
     """
 
-    __slots__ = ("neighbors", "keys", "strides", "float_rows", "rows", "arity")
+    __slots__ = ("neighbors", "keys", "strides", "offset", "arity")
 
-    def __init__(self, factor: Factor, var: str, tables: dict):
+    def __init__(self, factor: Factor, var: str, table: _EnergyTable):
         key = (factor.table.tobytes(), factor.table.shape, factor.vars.index(var))
-        entry = tables.get(key)
-        if entry is None:
-            _, energy, arity = _specialized_energy_table(factor, var)
-            strides = []
-            acc = arity
-            for size in reversed(energy.shape[:-1]):
-                strides.append(acc)
-                acc *= size
-            float_rows = energy.reshape(-1)
-            float_rows.flags.writeable = False
-            entry = tables[key] = (arity, tuple(reversed(strides)), float_rows)
+        self.offset, shape, _ = table.add(
+            key, _specialized_energy_table, factor, var)
         self.neighbors = self.keys = tuple(v for v in factor.vars if v != var)
-        self.arity, self.strides, self.float_rows = entry
-        self.rows = None  # set by quantize
-
-    def quantize(self, fmt: EnergyFormat | None, temperature: float):
-        if fmt is None:
-            self.rows = (self.float_rows / temperature).tolist()
-        else:
-            self.rows = _quantize_rows(self.float_rows, fmt, temperature).tolist()
+        self.arity = shape[-1]
+        self.strides = tuple(math.prod(shape[t + 1:]) for t in range(len(shape) - 1))
 
     def base_offset(self, snapshot) -> int:
-        base = 0
+        """Where the row for the snapshot's neighbor values starts in the table."""
+        base = self.offset
         for key, stride in zip(self.keys, self.strides):
             base += snapshot[key] * stride
         return base
 
 
-def _kernel_parts(var: str, arity: int, factors, tables: dict | None):
-    """A kernel's factor parts; the arity and every part's arity are checked."""
+def _kernel_parts(var: str, arity: int, factors, fmt, table):
+    """A kernel's table, a private one when table is None, and its factor
+    parts; the table's format, the arity and every part's arity are checked."""
     if arity < 1:
         raise ConfigError(f"variable {var!r} has arity {arity}")
-    tables = {} if tables is None else tables
-    parts = [_FactorPart(f, var, tables) for f in factors]
+    table = _EnergyTable(fmt) if table is None else table
+    if table.fmt != fmt:
+        raise ConfigError(f"kernel of {var!r} has another format than its table")
+    parts = [_FactorPart(f, var, table) for f in factors]
     for p in parts:
         if p.arity != arity:
             raise ConfigError(f"factor table arity mismatch on {var!r}")
-    return parts
+    return table, parts
 
 
 class GibbsKernel:
     """Samples the variable's full conditional given its neighbors."""
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
-                 tables: dict | None = None):
+                 table: _EnergyTable | None = None):
         if fmt is not None:
             check_weight_width(fmt)
-        self.parts = _kernel_parts(var, arity, factors, tables)
+        self.table, self.parts = _kernel_parts(var, arity, factors, fmt, table)
         self.var = var
         self.arity = arity
         self.fmt = fmt
-        self.set_temperature(1.0)
 
     def set_temperature(self, temperature: float):
-        """Record T; the rows are requantized before the next conditional."""
-        if temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {temperature}")
-        self.temperature = temperature
-        self._stale = True
+        """Set T on the kernel's table, so on every kernel that shares it: in
+        a compiled assembly, all of them."""
+        self.table.set_temperature(temperature)
 
     def conditional_energies(self, snapshot):
         """Raw (fixed-point) or float energies of each candidate value.
@@ -185,14 +223,12 @@ class GibbsKernel:
         only then clamp back into the representable range; values still
         beyond range after renormalization saturate to "impossible".
         """
-        if self._stale:
-            _requantize(self)
+        rows = self.table.rows
         k = self.arity
         if self.fmt is None:
             energies = [0.0] * k
             for p in self.parts:
                 base = p.base_offset(snapshot)
-                rows = p.rows
                 for v in range(k):
                     energies[v] += rows[base + v]
             return energies
@@ -200,7 +236,6 @@ class GibbsKernel:
         sums = [0] * k
         for p in self.parts:
             base = p.base_offset(snapshot)
-            rows = p.rows
             for v in range(k):
                 b = rows[base + v]
                 if b == sat or sums[v] == -1:
@@ -246,8 +281,8 @@ class MhKernel:
     """
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
-                 proposal=None, tables: dict | None = None):
-        self.parts = _kernel_parts(var, arity, factors, tables)
+                 proposal=None, table: _EnergyTable | None = None):
+        self.table, self.parts = _kernel_parts(var, arity, factors, fmt, table)
         self.var = var
         self.arity = arity
         self.fmt = fmt
@@ -261,28 +296,23 @@ class MhKernel:
                 raise ConfigError("only symmetric proposals are supported")
             proposal = (proposal / proposal.sum(axis=1, keepdims=True)).tolist()
         self._proposal = proposal
-        self.set_temperature(1.0)
 
     def set_temperature(self, temperature: float):
-        """Record T; the rows are requantized before the next energy read."""
-        if temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {temperature}")
-        self.temperature = temperature
-        self._stale = True
+        """Set T on the kernel's table, as GibbsKernel.set_temperature does."""
+        self.table.set_temperature(temperature)
 
     def _energy_of(self, value: int, snapshot):
         """Wide-accumulator energy sum; None marks a zero-weight value."""
-        if self._stale:
-            _requantize(self)
+        rows = self.table.rows
         if self.fmt is None:
             total = 0.0
             for p in self.parts:
-                total += p.rows[p.base_offset(snapshot) + value]
+                total += rows[p.base_offset(snapshot) + value]
             return total
         sat = self.fmt.max_raw
         total = 0
         for p in self.parts:
-            b = p.rows[p.base_offset(snapshot) + value]
+            b = rows[p.base_offset(snapshot) + value]
             if b == sat:
                 return None
             total += b
@@ -365,7 +395,11 @@ class TransitionAssembly:
             self.clamp(name, value)
         for circ in self.circuits.values():
             for part in circ.kernel.parts:
-                keys = tuple(self.index[n] for n in part.neighbors)
+                try:
+                    keys = tuple(self.index[n] for n in part.neighbors)
+                except KeyError as err:
+                    raise UnknownVariableError(f"kernel of {circ.var!r} reads {err.args[0]!r}, "
+                                               "which has no circuit") from None
                 if part.keys not in (part.neighbors, keys):
                     raise ConfigError(f"{circ.var!r}: kernel bound to other registers")
                 part.keys = keys
@@ -394,9 +428,7 @@ class TransitionAssembly:
         self.clamped.pop(name, None)
 
     def set_temperature(self, temperature: float):
-        """Record T on every kernel; requantizing waits for the next run."""
-        if temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {temperature}")
+        """Set T on every kernel's table; quantizing waits for the next read."""
         for circ in self.circuits.values():
             circ.kernel.set_temperature(temperature)
 
@@ -505,17 +537,17 @@ class _LaneGroup:
     """A color class of fixed-point Gibbs circuits as lanes: the one lane kernel.
 
     Lane m updates values[sites[m]] of an int64 value vector. Its energy for
-    candidate v is the sum over its parts p of table[base[m, p] + v], where
+    candidate v is the sum over its parts p of table.raw[base[m, p] + v], where
     base[m, p] = offset[m, p] + sum_t values[nbr[m, p, t]] * stride[m, p, t]
-    and table holds raw words at the run's temperature: exactly the scalar
-    kernel's part sum. Where every part reads at most one neighbor, nbr and
-    stride may drop their last axis. pad, which broadcasts against (lanes,
-    candidates), masks candidates past a lane's arity. words and draws are
-    each lane's xorshift stream word and draw count, advanced in place, and
-    name(site) names the variable at a site.
+    and table is the lanes' fixed-point _EnergyTable, at its temperature:
+    exactly the scalar kernel's part sum. Where every part reads at most one
+    neighbor, nbr and stride may drop their last axis. pad, which broadcasts
+    against (lanes, candidates), masks candidates past a lane's arity. words
+    and draws are each lane's xorshift stream word and draw count, advanced
+    in place, and name(site) names the variable at a site.
     """
 
-    def __init__(self, sites, nbr, stride, offset, pad, words, name):
+    def __init__(self, sites, nbr, stride, offset, pad, words, name, table: _EnergyTable):
         self.sites = sites
         self.nbr = nbr
         self.stride = stride
@@ -524,8 +556,9 @@ class _LaneGroup:
         self.words = np.array(words, np.uint64)
         self.draws = np.zeros(len(sites), np.int64)
         self.name = name
+        self.table = table
 
-    def step(self, table: np.ndarray, fmt: EnergyFormat, values: np.ndarray):
+    def step(self, values: np.ndarray):
         """GibbsKernel.step on every lane, all reading values as they stand.
 
         The drawn values are written to values[sites]. As the scalar path
@@ -537,6 +570,7 @@ class _LaneGroup:
         if base.ndim == 3:
             base = base.sum(axis=2)
         base += self.offset
+        fmt, table = self.table.fmt, self.table.raw
         sat = fmt.max_raw
         candidates = np.arange(self.pad.shape[1])
         # part by part: numpy reduces a short middle axis far slower than it adds
@@ -563,16 +597,16 @@ class _LaneGroup:
 
 
 def _lower(assembly: TransitionAssembly) -> dict:
-    """{group index: (sites, arrays, float table)} for each group the lane
-    kernel can take; built once per assembly.
+    """{group index: (sites, arrays, table)} for each group the lane kernel
+    can take; built once per assembly.
 
     A group qualifies when it has at least LANE_MIN_WIDTH circuits, all
-    fixed-point Gibbs kernels of one format whose integer weights fit
+    Gibbs kernels on one fixed-point table whose integer weights fit
     LANE_WEIGHT_BITS, and no name appears twice in the schedule. sites are
     the members' registers, and arrays their nbr, stride, offset and pad as
-    _LaneGroup takes them, nbr holding register indices. The float table
-    holds every distinct specialized row block of the group once, as float
-    energies, followed by a zero block that padding parts read.
+    _LaneGroup takes them, nbr holding register indices and offset table
+    offsets. Padding parts read a zero block as wide as the group's widest
+    arity, which the lowering adds to the end of the table.
     """
     names = [n for group in assembly.schedule for n in group]
     if len(set(names)) != len(names):
@@ -582,44 +616,36 @@ def _lower(assembly: TransitionAssembly) -> dict:
         if len(group) < LANE_MIN_WIDTH:
             continue
         kernels = [assembly.circuits[n].kernel for n in group]
-        fmt = kernels[0].fmt
+        table = kernels[0].table
         k = max(kern.arity for kern in kernels)
-        if fmt is None or not _lane_weights_fit(fmt, k) or any(
-                type(kern) is not GibbsKernel or kern.fmt != fmt for kern in kernels):
+        if table.fmt is None or not _lane_weights_fit(table.fmt, k) or any(
+                type(kern) is not GibbsKernel or kern.table is not table for kern in kernels):
             continue
         n_parts = max(1, max(len(kern.parts) for kern in kernels))
         width = max((len(p.keys) for kern in kernels for p in kern.parts), default=0)
         nbr = np.zeros((len(group), n_parts, width), np.int64)
         stride = np.zeros_like(nbr)
-        offset = np.full(nbr.shape[:2], -1, np.int64)
-        blocks: list[np.ndarray] = []
-        block_at: dict[int, int] = {}  # id of a shared read-only row block
-        size = 0
+        # keyed by size, so the zeros come last: a lane reads k candidates
+        # from every row, past the end of a narrower part's block
+        zeros = table.add(("zeros", k, table.size), np.zeros, k)[0]
+        offset = np.full(nbr.shape[:2], zeros, np.int64)
         for m, kern in enumerate(kernels):
             for j, part in enumerate(kern.parts):
-                key = id(part.float_rows)
-                if key not in block_at:
-                    block_at[key] = size
-                    blocks.append(part.float_rows)
-                    size += part.float_rows.size
-                offset[m, j] = block_at[key]
+                offset[m, j] = part.offset
                 nbr[m, j, :len(part.keys)] = part.keys
                 stride[m, j, :len(part.strides)] = part.strides
-        offset[offset < 0] = size
-        blocks.append(np.zeros(k))
         pad = np.arange(k) >= np.array([[kern.arity] for kern in kernels])
         sites = np.array([assembly.index[n] for n in group], np.int64)
-        lowered[gi] = (sites, (nbr, stride, offset, pad), np.concatenate(blocks))
+        lowered[gi] = (sites, (nbr, stride, offset, pad), table)
     return lowered
 
 
 def _bind_lanes(assembly: TransitionAssembly) -> dict:
-    """{group index: (_LaneGroup, table, fmt)} for the lowered groups with at
-    least LANE_MIN_WIDTH live circuits, all at one temperature.
+    """{group index: _LaneGroup} for the lowered groups with at least
+    LANE_MIN_WIDTH live circuits.
 
-    The lanes are the live circuits, with their stream words loaded, and
-    they step assembly.values in place; table is the group's float table
-    quantized at the temperature.
+    The lanes are the live circuits, with their stream words loaded; they
+    step assembly.values in place, reading their table at its temperature.
     """
     if assembly._lanes is None:
         assembly._lanes = _lower(assembly)
@@ -627,15 +653,12 @@ def _bind_lanes(assembly: TransitionAssembly) -> dict:
     free[[assembly.index[n] for n in assembly.clamped]] = False
     registers = list(assembly.circuits.values())
     bound = {}
-    for gi, (sites, arrays, float_table) in assembly._lanes.items():
+    for gi, (sites, arrays, table) in assembly._lanes.items():
         live = free[sites]
-        circuits = [registers[i] for i in sites[live].tolist()]
-        temperatures = {c.kernel.temperature for c in circuits}
-        if len(circuits) >= LANE_MIN_WIDTH and len(temperatures) == 1:
-            group = _LaneGroup(sites[live], *(a[live] for a in arrays),
-                               [c.stream.state for c in circuits], assembly.names.__getitem__)
-            fmt = circuits[0].kernel.fmt
-            bound[gi] = (group, _quantize_rows(float_table, fmt, temperatures.pop()), fmt)
+        if live.sum() >= LANE_MIN_WIDTH:
+            words = [registers[i].stream.state for i in sites[live].tolist()]
+            bound[gi] = _LaneGroup(sites[live], *(a[live] for a in arrays), words,
+                                   assembly.names.__getitem__, table)
     return bound
 
 
@@ -694,8 +717,7 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
             else:
                 for gi, members in enumerate(groups):
                     if gi in bound:
-                        group, table, fmt = bound[gi]
-                        group.step(table, fmt, values)
+                        bound[gi].step(values)
                     elif members:
                         snapshot = values.tolist()
                         for i in members:
@@ -705,7 +727,7 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
                 rows.append(tuple(values.tolist()))
     finally:
         circuits = list(assembly.circuits.values())
-        for group, _, _ in bound.values():
+        for group in bound.values():
             for site, word, count in zip(group.sites.tolist(), group.words.tolist(),
                                          group.draws.tolist()):
                 stream = circuits[site].stream

@@ -2,7 +2,9 @@
 
 Everything here computes expected values by enumeration or direct summation,
 never through the sampling paths under test. FixedUnitStream drives a sampler
-with one chosen uniform draw. dpmm_reference_chain replays the DPMM sampler
+with one chosen uniform draw. The *_by_parts functions recompute a scalar
+kernel's energies one factor at a time, each specialized and quantized on
+its own at the temperature. dpmm_reference_chain replays the DPMM sampler
 from per-cluster energies computed in a loop, drawing through the
 discrete-sample gate, which is tested on its own.
 """
@@ -239,3 +241,58 @@ def evidence_by_pixel(first, second, offsets, c_max, scale):
                     cost = c_max
                 y[i, j, k] = cost / scale
     return y
+
+
+def specialized_row(factor, var, snapshot, fmt, temperature) -> list:
+    """One factor's energies for var given its neighbors' values (snapshot
+    maps a name to its value), specialized and quantized on their own.
+
+    The row is -log2 of the factor's weights over the table's peak, shifted
+    to minimum zero unless every entry is +inf, then divided by the
+    temperature. With a format, a zero weight is the sentinel and a finite
+    energy is rounded half to even to a raw word below it.
+    """
+    moved = np.moveaxis(factor.table, factor.vars.index(var), -1)
+    weights = moved[tuple(snapshot[n] for n in factor.vars if n != var)]
+    with np.errstate(divide="ignore"):
+        row = -np.log2(weights / factor.table.max())
+    low = row.min()
+    energies = (row - low if math.isfinite(low) else row).tolist()
+    if fmt is None:
+        return [e / temperature for e in energies]
+    return [fmt.max_raw if e == math.inf
+            else min(round(e / temperature * (1 << fmt.frac)), fmt.max_raw - 1)
+            for e in energies]
+
+
+def gibbs_energies_by_parts(factors, var, arity, snapshot, fmt, temperature) -> list:
+    """GibbsKernel.conditional_energies: the factors' rows summed in order;
+    with a format, a value that any row saturates is the sentinel, and the
+    rest are shifted to minimum zero and clamped below it."""
+    rows = [specialized_row(f, var, snapshot, fmt, temperature) for f in factors]
+    if fmt is None:
+        energies = [0.0] * arity
+        for row in rows:
+            for v in range(arity):
+                energies[v] += row[v]
+        return energies
+    sat = fmt.max_raw
+    sums = [None if any(row[v] == sat for row in rows) else sum(row[v] for row in rows)
+            for v in range(arity)]
+    live = [s for s in sums if s is not None]
+    if not live:
+        return [sat] * arity
+    low = min(live)
+    return [sat if s is None else min(s - low, sat - 1) for s in sums]
+
+
+def mh_energy_by_parts(factors, var, value, snapshot, fmt, temperature):
+    """MhKernel._energy_of: the factors' entries for value summed in order;
+    None when a fixed-point entry is the sentinel."""
+    entries = [specialized_row(f, var, snapshot, fmt, temperature)[value] for f in factors]
+    if fmt is None:
+        total = 0.0
+        for e in entries:
+            total += e
+        return total
+    return None if fmt.max_raw in entries else sum(entries)

@@ -10,6 +10,7 @@ import pytest
 
 from stochcirc import fixture_text, transition
 from stochcirc.compiler import compile as compile_graph
+from stochcirc.entropy import EntropyStream
 from stochcirc.errors import NoSupportError
 from stochcirc.factorgraph import Factor, FactorGraph, Variable, parse
 from stochcirc.lowprec import EnergyFormat
@@ -113,6 +114,44 @@ def test_mixed_arity_lanes_match_scalar(fmt, monkeypatch):
     assert used > 0
 
 
+@pytest.mark.parametrize("with_factor", [False, True], ids=["no factors", "one arity-2 factor"])
+def test_factorless_lanes_wider_than_every_block(with_factor, monkeypatch):
+    # Sixteen arity-3 variables that touch no factor read only padding, so
+    # the zeros they read must be as wide as the widest arity in the group,
+    # not as wide as the widest block in the table.
+    variables = [Variable(f"x{i:02d}", 3) for i in range(LANE_MIN_WIDTH)]
+    factors = []
+    if with_factor:
+        variables.append(Variable("y", 2))
+        factors.append(Factor("uy", ["y"], np.array([0.25, 1.0]), [2]))
+    graph = FactorGraph(variables, factors)
+    used = both_paths(lambda: compile_graph(graph, fmt=FORMATS[1], seed=16),
+                      rows_of((1.0, 5, 0)), monkeypatch)
+    assert used == 5
+
+
+def test_lanes_on_a_table_that_grew_after_an_earlier_lowering(monkeypatch):
+    # The second assembly's kernels add their arity-2 block to the first
+    # one's table after the zeros its lowering added; the second lowering
+    # reads 3 candidates from that block's rows, so its zeros must follow it.
+    def make_assembly():
+        graph = FactorGraph([Variable(f"x{i:02d}", 3) for i in range(LANE_MIN_WIDTH)], [])
+        first = compile_graph(graph, fmt=FORMATS[1], seed=17)
+        run(first, 1, burn_in=0)
+        table = first.circuits["x00"].kernel.table
+        kernels = [transition.GibbsKernel("z", 3, [], table.fmt, table=table)] + [
+            transition.GibbsKernel(f"y{i:02d}", 2,
+                                   [Factor(f"u{i}", [f"y{i:02d}"], [0.25, 1.0], [2])],
+                                   table.fmt, table=table)
+            for i in range(LANE_MIN_WIDTH)]
+        master = EntropyStream(18)
+        circuits = [transition.TransitionCircuit(k.var, k.arity, k, master.fork(i))
+                    for i, k in enumerate(kernels)]
+        return transition.TransitionAssembly(circuits, set(), [[c.var for c in circuits]])
+
+    assert both_paths(make_assembly, rows_of((1.0, 4, 0)), monkeypatch) == 1 + 4
+
+
 def test_clamps_changing_between_runs(monkeypatch):
     graph = lattice_graph(size=10, d=4)
     names = sorted(graph.var_names)
@@ -159,9 +198,13 @@ def test_error_message_names_the_first_empty_lane(monkeypatch):
     asm = compile_graph(graph, seed=15)
     group = asm.schedule[0]
     for name in (group[3], group[9]):
-        # a fresh block: the compiled one is shared with other sites
-        part = asm.circuits[name].kernel.parts[0]
-        part.float_rows = np.full_like(part.float_rows, np.inf)
+        # a fresh all-inf block: the compiled one is shared with other sites
+        kernel = asm.circuits[name].kernel
+        part = kernel.parts[0]
+        size = next(rows.size for at, _, rows in kernel.table.blocks.values()
+                    if at == part.offset)
+        part.offset = kernel.table.add(("all inf", name), np.full,
+                                       (size // part.arity, part.arity), np.inf)[0]
     with pytest.raises(NoSupportError) as err:
         run(asm, 1, burn_in=0)
     assert err.value.variable == group[3]

@@ -82,8 +82,14 @@ def test_groups_are_the_greedy_coloring(h, w):
 def test_lowered_rows_are_the_compiled_rows():
     rng = np.random.default_rng(4)
     m = LatticeMRF(5, 6, 4, rng.uniform(0.0, 5.0, size=(5, 6, 4)), lam=0.7, tau=2.5)
-    table = mrf._Checkerboard(m, m.smoothness_table(), FORMATS[1], 0).float_table
+    lowered = mrf._Checkerboard(m, m.smoothness_table(), FORMATS[1], 0).table
     asm = compile_graph(m.to_factor_graph(), fmt=FORMATS[1])
+    compiled = asm.circuits[asm.names[0]].kernel.table
+
+    def float_rows(table):
+        return np.concatenate([rows for _, _, rows in table.blocks.values()])
+
+    table, compiled_rows = float_rows(lowered), float_rows(compiled)
     d, n = m.labels, m.height * m.width
     first, second = n * d, n * d + d * d
     for s, name in enumerate(name for row in m.site_names() for name in row):
@@ -94,7 +100,45 @@ def test_lowered_rows_are_the_compiled_rows():
                 # the site is the pair table's first axis for its east and
                 # south neighbors, which sort after it
                 start, size = (first if part.neighbors[0] > name else second), d * d
-            assert table[start:start + size].tobytes() == part.float_rows.tobytes()
+            at = part.offset
+            assert table[start:start + size].tobytes() == compiled_rows[at:at + size].tobytes()
+            assert (lowered.raw[start:start + size].tobytes()
+                    == compiled.raw[at:at + size].tobytes())
+
+
+def count_quantizations(monkeypatch) -> list:
+    """The temperature of every _quantize_rows call, from now on."""
+    calls = []
+    quantize = transition._quantize_rows
+
+    def counting(float_rows, fmt, temperature):
+        calls.append(temperature)
+        return quantize(float_rows, fmt, temperature)
+
+    monkeypatch.setattr(transition, "_quantize_rows", counting)
+    return calls
+
+
+@pytest.mark.parametrize("schedule", ["serial", "parallel"])
+def test_a_compiled_lattice_quantizes_once_per_rung(schedule, monkeypatch):
+    calls = count_quantizations(monkeypatch)
+    compiled_instead(monkeypatch)   # the parallel schedule too
+    _, sampler = mrf._solve(lattice(8, 8, "stereo", 3), 6, 22, FORMATS[1], (2.0, 0.1), 3,
+                            schedule)
+    assert isinstance(sampler, mrf._Compiled)
+    assert calls == [t for t, _ in mrf._ladder(6, (2.0, 0.1), 3)]
+
+
+def test_the_lowering_quantizes_once_per_rung_and_builds_no_row_list(monkeypatch):
+    def fail(table):
+        raise AssertionError("Python list of the table built")
+
+    calls = count_quantizations(monkeypatch)
+    monkeypatch.setattr(transition._EnergyTable, "rows", property(fail))
+    _, sampler = mrf._solve(lattice(8, 8, "stereo", 3), 6, 22, FORMATS[1], (2.0, 0.1), 3,
+                            "parallel")
+    assert isinstance(sampler, mrf._Checkerboard)
+    assert calls == [t for t, _ in mrf._ladder(6, (2.0, 0.1), 3)]
 
 
 def test_all_zero_unary_raises_like_compile(monkeypatch):

@@ -15,7 +15,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra.numpy import arrays
 
-from oracles import dpmm_reference_chain, evidence_by_pixel
+from oracles import (
+    dpmm_reference_chain,
+    evidence_by_pixel,
+    gibbs_energies_by_parts,
+    mh_energy_by_parts,
+)
 from stochcirc import dpmm
 from stochcirc.compiler import compile as compile_graph
 from stochcirc.entropy import EntropyStream
@@ -171,6 +176,88 @@ def test_compiled_lanes_match_the_scalar_path(case, seed):
     # at most four clamps leave every class LANE_MIN_WIDTH live circuits, so
     # every group runs as lanes
     assert both_paths(make, script, pytest.MonkeyPatch()) > 0
+
+
+@st.composite
+def small_graphs(draw):
+    """Two to five variables of arities 1 to 3 under one to six unary, pair
+    or triple factors, where a factor may reuse an earlier table of its
+    shape, plus up to two clamps."""
+    arity = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    names = [f"v{i}" for i in range(len(arity))]
+    entries = st.sampled_from([0.0, 1e-9, 0.05, 0.3, 1.0, 2.5])
+    drawn = {}   # shape -> its tables so far
+    factors = []
+    for i in range(draw(st.integers(1, 6))):
+        scope = draw(st.lists(st.integers(0, len(arity) - 1), min_size=1, max_size=3,
+                              unique=True))
+        shape = tuple(arity[v] for v in scope)
+        tables = drawn.setdefault(shape, [])
+        if tables and draw(st.booleans()):
+            table = draw(st.sampled_from(tables))
+        else:
+            size = int(np.prod(shape))
+            table = draw(st.lists(entries, min_size=size, max_size=size))
+            if max(table) <= 0.0:
+                table[0] = 1.0   # an all-zero table is rejected when compiled
+            tables.append(table)
+        factors.append(Factor(f"f{i}", [names[v] for v in scope], table, shape))
+    clamped = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+    clamps = {n: draw(st.integers(0, arity[names.index(n)] - 1)) for n in clamped}
+    return FactorGraph([Variable(n, k) for n, k in zip(names, arity)], factors), clamps
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(case=small_graphs(), kernel=st.sampled_from(["gibbs", "mh"]),
+       fmt=st.sampled_from([EnergyFormat(6, 2), EnergyFormat(8, 4), EnergyFormat(16, 8), None]),
+       temperatures=st.lists(st.sampled_from([0.3, 1.0, 1.7]), min_size=2, max_size=2),
+       seed=st.integers(0, 2**16))
+def test_one_table_matches_per_part_quantization(case, kernel, fmt, temperatures, seed):
+    """Every kernel's energies equal the per-factor oracle's at each
+    temperature, and runs with the oracle's energies in place of the
+    table's give the same rows and final stream words."""
+    graph, clamps = case
+    assemblies = [compile_graph(graph, kernel=kernel, fmt=fmt, seed=seed) for _ in range(2)]
+    asm, reference = assemblies
+    for assembly in assemblies:
+        for name, value in clamps.items():
+            assembly.clamp(name, value)
+    now = {"T": 1.0}
+
+    def oracle(name, snapshot, value=None):
+        by_name = dict(zip(asm.names, snapshot))
+        factors, circ = graph.factors_touching(name), asm.circuits[name]
+        if value is None:
+            return gibbs_energies_by_parts(factors, name, circ.arity, by_name, fmt, now["T"])
+        return mh_energy_by_parts(factors, name, value, by_name, fmt, now["T"])
+
+    for name, circ in reference.circuits.items():
+        if kernel == "gibbs":
+            circ.kernel.conditional_energies = lambda snap, name=name: oracle(name, snap)
+        else:
+            circ.kernel._energy_of = lambda v, snap, name=name: oracle(name, snap, v)
+    stream = EntropyStream(seed)
+    results = [[], []]
+    for temperature in temperatures:
+        now["T"] = temperature
+        for assembly in assemblies:
+            assembly.set_temperature(temperature)
+        for name, circ in asm.circuits.items():
+            for _ in range(3):
+                snapshot = [stream.next_below(c.arity) for c in asm.circuits.values()]
+                if kernel == "gibbs":
+                    assert circ.kernel.conditional_energies(snapshot) == oracle(name, snapshot)
+                else:
+                    assert ([circ.kernel._energy_of(v, snapshot) for v in range(circ.arity)]
+                            == [oracle(name, snapshot, v) for v in range(circ.arity)])
+        for assembly, out in zip(assemblies, results):
+            try:
+                out.append(run(assembly, 3, burn_in=1).rows)
+            except NoSupportError as err:
+                out.append((str(err), err.variable))
+    assert results[0] == results[1]
+    assert ([(c.stream.state, c.stream.draws_consumed) for c in asm.circuits.values()]
+            == [(c.stream.state, c.stream.draws_consumed) for c in reference.circuits.values()])
 
 
 def _cached_and_reference_dpmm_chains(data, fmt, alpha, beta_on, beta_off, seed, sweeps=3):

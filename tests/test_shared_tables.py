@@ -11,7 +11,9 @@ import pytest
 
 from stochcirc import fixture_text, transition
 from stochcirc.compiler import compile as compile_graph
+from stochcirc.entropy import EntropyStream
 from stochcirc.factorgraph import parse
+from stochcirc.transition import run
 from stochcirc.mrf import (
     ImagePair,
     LatticeMRF,
@@ -19,6 +21,11 @@ from stochcirc.mrf import (
     random_dot_stereogram,
 )
 from test_lane import lattice_graph, mixed_arity_graph
+
+
+def float_rows(kernel, part):
+    """The part's read-only block of float rows, from its kernel's table."""
+    return next(rows for at, _, rows in kernel.table.blocks.values() if at == part.offset)
 
 
 def motion_graph(size=10, d=5, seed=4):
@@ -57,13 +64,13 @@ def test_shared_parts_equal_per_pair_specialization(which, kernel):
         factors = graph.factors_touching(name)
         assert len(circ.kernel.parts) == len(factors)
         for part, factor in zip(circ.kernel.parts, factors):
-            neighbors, energy, arity = transition._specialized_energy_table(factor, name)
+            energy = transition._specialized_energy_table(factor, name)
             strides = tuple(math.prod(energy.shape[t + 1:])
                             for t in range(energy.ndim - 1))
-            assert part.neighbors == neighbors
-            assert part.arity == arity
+            assert part.neighbors == tuple(v for v in factor.vars if v != name)
+            assert part.arity == energy.shape[-1]
             assert part.strides == strides
-            assert same_bits(part.float_rows, energy.reshape(-1))
+            assert same_bits(float_rows(circ.kernel, part), energy.reshape(-1))
 
 
 def test_one_specialization_per_distinct_table_and_axis(monkeypatch):
@@ -89,9 +96,9 @@ def test_shared_blocks_are_read_only_and_per_compile():
     second = compile_graph(graph, seed=2)
     # every pairwise smoothness factor has the same table
     a, b = first.schedule[0][:2]
-    block = first.circuits[a].kernel.parts[-1].float_rows
-    assert block is first.circuits[b].kernel.parts[-1].float_rows
-    assert block is not second.circuits[a].kernel.parts[-1].float_rows
+    block = float_rows(first.circuits[a].kernel, first.circuits[a].kernel.parts[-1])
+    assert block is float_rows(first.circuits[b].kernel, first.circuits[b].kernel.parts[-1])
+    assert block is not float_rows(second.circuits[a].kernel, second.circuits[a].kernel.parts[-1])
     with pytest.raises(ValueError):
         block[0] = 0.0
 
@@ -103,5 +110,45 @@ def test_kernel_built_alone_specializes_its_own_tables():
     one = transition.GibbsKernel(name, 3, factors, None)
     two = transition.GibbsKernel(name, 3, factors, None)
     for p, q in zip(one.parts, two.parts):
-        assert p.float_rows is not q.float_rows
-        assert same_bits(p.float_rows, q.float_rows)
+        assert float_rows(one, p) is not float_rows(two, q)
+        assert same_bits(float_rows(one, p), float_rows(two, q))
+
+
+def energies(kernel, snapshot) -> list:
+    if isinstance(kernel, transition.GibbsKernel):
+        return kernel.conditional_energies(snapshot)
+    return [kernel._energy_of(v, snapshot) for v in range(kernel.arity)]
+
+
+@pytest.mark.parametrize("kernel", ["gibbs", "mh"])
+def test_one_kernels_temperature_moves_every_kernel_of_its_assembly(kernel):
+    graph = GRAPHS["icu_monitor"]()
+    asm = compile_graph(graph, kernel=kernel, seed=3)
+    reference = compile_graph(graph, kernel=kernel, seed=3)
+    assert len({id(c.kernel.table) for c in asm.circuits.values()}) == 1
+    stream = EntropyStream(9)
+    snapshots = [[stream.next_below(c.arity) for c in asm.circuits.values()]
+                 for _ in range(20)]
+    at_one = [[energies(c.kernel, s) for c in asm.circuits.values()] for s in snapshots]
+    asm.circuits[asm.names[0]].kernel.set_temperature(0.4)
+    reference.set_temperature(0.4)
+    moved = [[energies(c.kernel, s) for c in asm.circuits.values()] for s in snapshots]
+    assert moved == [[energies(c.kernel, s) for c in reference.circuits.values()]
+                     for s in snapshots]
+    # every kernel moved, not only the one whose temperature was set
+    for name, i in asm.index.items():
+        assert any(m[i] != one[i] for m, one in zip(moved, at_one)), name
+    assert run(asm, 5).rows == run(reference, 5).rows
+
+
+def test_a_kernel_built_on_a_shared_table_keeps_its_temperature():
+    graph = GRAPHS["icu_monitor"]()
+    asm = compile_graph(graph, seed=3)
+    asm.set_temperature(0.4)
+    name = asm.names[0]
+    table = asm.circuits[name].kernel.table
+    transition.GibbsKernel(name, graph.arity[name], graph.factors_touching(name), table.fmt,
+                           table=table)
+    transition.MhKernel(name, graph.arity[name], graph.factors_touching(name), table.fmt,
+                        table=table)
+    assert table.temperature == 0.4

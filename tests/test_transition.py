@@ -6,8 +6,15 @@ import pytest
 from oracles import FixedUnitStream, conditional_by_enumeration, fork_graph
 from stochcirc.compiler import compile as compile_graph, fault_kl_report
 from stochcirc.entropy import EntropyStream
-from stochcirc.errors import ConfigError, DomainError, NoSupportError, ScheduleViolationError
-from stochcirc.factorgraph import Factor, FactorGraph, Variable, enumerate_joint
+from stochcirc import fixture_text
+from stochcirc.errors import (
+    ConfigError,
+    DomainError,
+    NoSupportError,
+    ScheduleViolationError,
+    UnknownVariableError,
+)
+from stochcirc.factorgraph import Factor, FactorGraph, Variable, enumerate_joint, parse
 from stochcirc.lowprec import (
     DEFAULT_FORMAT,
     GIBBS_WEIGHT_BITS,
@@ -395,6 +402,14 @@ def test_a_kernel_serves_one_register_layout():
     with pytest.raises(ConfigError, match="kernel bound to other registers"):
         TransitionAssembly(circuits, asm.edges, asm.schedule + [["B"]])
     assert run(asm, 3, burn_in=0).rows == run(_zam_assembly(), 3, burn_in=0).rows
+
+
+def test_a_kernel_reading_a_variable_without_a_circuit_is_named():
+    asm = compile_graph(parse(fixture_text("three_var_fork.json")), seed=46)
+    # A's kernel reads B and C; C has no circuit here
+    with pytest.raises(UnknownVariableError) as err:
+        TransitionAssembly([asm.circuits["A"], asm.circuits["B"]], set(), [["A"], ["B"]])
+    assert str(err.value) == "kernel of 'A' reads 'C', which has no circuit"
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, "1", None],
