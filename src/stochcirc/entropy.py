@@ -116,6 +116,11 @@ class EntropyStream:
         if bound == 1:
             return 0
         k = (bound - 1).bit_length()
+        if k <= 64:  # one word per attempt, the words _next_wide(k) would take
+            while True:
+                v = self.next_bits(k)
+                if v < bound:
+                    return v
         while True:
             v = self._next_wide(k)
             if v < bound:

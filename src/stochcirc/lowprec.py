@@ -160,12 +160,17 @@ def invert_cdf(weights, u) -> int:
     """The first index whose running weight sum exceeds u (0 <= u < sum).
 
     A linear scan: K is small on every sampling path, where it beats
-    building a cumulative list for bisection.
+    building a cumulative list for bisection. When u reaches the running
+    sum (float rounding can bring it there), the last index of positive
+    weight is drawn, never a zero-weight one.
     """
     acc = 0
     for i, w in enumerate(weights):
         acc += w
         if u < acc:
+            return i
+    for i in range(len(weights) - 1, -1, -1):
+        if weights[i] > 0:
             return i
     return len(weights) - 1
 

@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 from .entropy import EntropyStream
 from .errors import ConfigError
 from .lowprec import EnergyVector
-from .transition import GibbsKernel, TransitionAssembly, _sweep
-
-
-def _rates(weights) -> list[float]:
-    """Weights scaled so the minimum-energy unit, the heaviest, has rate one."""
-    top = max(weights)
-    return [w / top for w in weights]
+from .transition import GibbsKernel, TransitionAssembly, _cpt_row, _rates, _sweep
 
 
 def _race(rates, stream: EntropyStream):
@@ -80,9 +74,10 @@ def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,
     """Run an assembly with every transition realized as a spike race.
 
     Only Gibbs kernels expose the per-value conditional energies a race
-    needs. Returns (SpikeRaster, Trace); the trace is a valid Gibbs
-    trajectory with the same recording rules as transition.run. Each epoch
-    (one schedule group, or one random-scan draw) starts at its index.
+    needs; a race reads its rates from the kernel's CPT row. Returns
+    (SpikeRaster, Trace); the trace is a valid Gibbs trajectory with the
+    same recording rules as transition.run. Each epoch (one schedule group,
+    or one random-scan draw) starts at its index.
     """
     circuits = list(assembly.circuits.values())
     if not all(isinstance(circ.kernel, GibbsKernel) for circ in circuits):
@@ -91,7 +86,7 @@ def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,
 
     def update(i, snapshot, epoch):
         circ = circuits[i]
-        winner, times = _race(_rates(circ.kernel.weights(snapshot)), circ.stream)
+        winner, times = _race(_cpt_row(circ.kernel, snapshot)[2], circ.stream)
         if record_raster:
             for unit, t in enumerate(times):
                 if math.isfinite(t):

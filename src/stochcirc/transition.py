@@ -18,6 +18,17 @@ axis) block once and quantizes them all at one temperature. compile builds
 one table per assembly, so its kernels anneal together; a kernel built
 alone gets its own.
 
+A scalar kernel draws from its conditional probability table: one row per
+configuration of its Markov blanket, the sorted union of its parts' keys.
+The table caches each row, keyed by the kernel's blanket getter and the
+blanket's values, the first time a kernel reads it: a Gibbs row is the integer (or float)
+weights, their total and the spike rates, an MH row every value's energy.
+The row is filled by the per-call arithmetic, so a cached draw is the draw
+that arithmetic gives. Adding a block or changing the temperature empties
+the cache; a conditional with no support raises and is never cached. A
+kernel whose blanket configurations times arity exceed CPT_MAX_ENTRIES
+caches nothing and computes every row on the call.
+
 An assembly's registers are one int64 vector in sorted-name order. Scalar
 kernels read a list snapshot of it; a wide color class of fixed-point Gibbs
 circuits runs as lanes on it: a _LaneGroup of index arrays into their table
@@ -32,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -58,6 +70,11 @@ from .lowprec import (
 #: A group runs as lanes only from this many live circuits; narrower groups
 #: lose more to per-step array overhead than they save (crossover near 8).
 LANE_MIN_WIDTH = 16
+#: A scalar kernel caches its conditional rows only while blanket
+#: configurations x arity stay within this many entries. A compiled d=8
+#: lattice site (8^4 x 8 = 32,768) computes each row per call instead, so a
+#: long run on a large lattice cannot grow the cache without limit.
+CPT_MAX_ENTRIES = 4096
 #: Lane weights are int64: Qmax + MULTIPLIER_BITS + ceil(log2 K) must fit.
 LANE_WEIGHT_BITS = 62
 
@@ -112,6 +129,8 @@ class _EnergyTable:
     words (energies / T on the float path), and rows, its Python list for
     scalar kernels, is built on first read. Both are cached attributes, so
     the read a kernel makes on every conditional is a lookup, not a call.
+    cpt, the scalar kernels' conditional rows (see _cpt_row), goes with
+    them.
     """
 
     def __init__(self, fmt: EnergyFormat | None):
@@ -141,8 +160,8 @@ class _EnergyTable:
             self._drop_quantized()
 
     def _drop_quantized(self):
-        self.__dict__.pop("raw", None)
-        self.__dict__.pop("rows", None)
+        for name in ("raw", "rows", "cpt"):
+            self.__dict__.pop(name, None)
 
     @cached_property
     def raw(self) -> np.ndarray:
@@ -154,6 +173,10 @@ class _EnergyTable:
     @cached_property
     def rows(self) -> list:
         return self.raw.tolist()
+
+    @cached_property
+    def cpt(self) -> dict:
+        return {}
 
 
 class _FactorPart:
@@ -184,8 +207,9 @@ class _FactorPart:
 
 
 def _kernel_parts(var: str, arity: int, factors, fmt, table):
-    """A kernel's table, a private one when table is None, and its factor
-    parts; the table's format, the arity and every part's arity are checked."""
+    """A kernel's table, a private one when table is None, its factor parts
+    and its blanket getter; the table's format, the arity and every part's
+    arity are checked."""
     if arity < 1:
         raise ConfigError(f"variable {var!r} has arity {arity}")
     table = _EnergyTable(fmt) if table is None else table
@@ -195,7 +219,45 @@ def _kernel_parts(var: str, arity: int, factors, fmt, table):
     for p in parts:
         if p.arity != arity:
             raise ConfigError(f"factor table arity mismatch on {var!r}")
-    return table, parts
+    sizes = {v: k for f in factors for v, k in zip(f.vars, f.table.shape) if v != var}
+    cached = math.prod(sizes.values()) * arity <= CPT_MAX_ENTRIES
+    return table, parts, _blanket(parts) if cached else None
+
+
+def _blanket(parts):
+    """A new getter of the blanket's values, the sorted union of the parts'
+    keys, from a snapshot; re-derived whenever the keys are rebound."""
+    keys = sorted({k for p in parts for k in p.keys})
+    return itemgetter(*keys) if keys else lambda snapshot: ()
+
+
+def _cpt_row(kernel, snapshot):
+    """kernel.tabulate(snapshot), the kernel's conditional row for the
+    snapshot's blanket values, cached on its table while the kernel is
+    within CPT_MAX_ENTRIES (kernel.blanket is None past it).
+
+    tabulate raises NoSupportError for a conditional with no support, so
+    such a row is never cached and every read raises again.
+    """
+    blanket = kernel.blanket
+    if blanket is None:
+        return kernel.tabulate(snapshot)
+    # the getter is the kernel's own, and unlike the kernel it refers to no
+    # table, so the cache makes no reference cycle
+    key = (blanket, blanket(snapshot))
+    cpt = kernel.table.cpt
+    try:
+        return cpt[key]
+    except KeyError:
+        row = cpt[key] = kernel.tabulate(snapshot)
+        return row
+
+
+def _rates(weights) -> list:
+    """Spike rates: weights scaled so the minimum-energy unit, the
+    heaviest, has rate one."""
+    top = max(weights)
+    return [w / top for w in weights]
 
 
 class GibbsKernel:
@@ -205,7 +267,7 @@ class GibbsKernel:
                  table: _EnergyTable | None = None):
         if fmt is not None:
             check_weight_width(fmt)
-        self.table, self.parts = _kernel_parts(var, arity, factors, fmt, table)
+        self.table, self.parts, self.blanket = _kernel_parts(var, arity, factors, fmt, table)
         self.var = var
         self.arity = arity
         self.fmt = fmt
@@ -261,7 +323,7 @@ class GibbsKernel:
         except NoSupportError:
             raise _no_support(self.var) from None
 
-    def step(self, current: int, snapshot, stream: EntropyStream) -> int:
+    def _weights_and_total(self, snapshot) -> tuple:
         weights = self.weights(snapshot)
         if self.fmt is None:
             # left to right, as invert_cdf accumulates: the builtin sum of
@@ -269,8 +331,22 @@ class GibbsKernel:
             total = 0.0
             for w in weights:
                 total += w
+            return weights, total
+        return weights, sum(weights)
+
+    def tabulate(self, snapshot) -> tuple:
+        """The conditional's CPT row: (weights, their total, spike rates)."""
+        weights, total = self._weights_and_total(snapshot)
+        return weights, total, _rates(weights)
+
+    def step(self, current: int, snapshot, stream: EntropyStream) -> int:
+        if self.blanket is None:  # no row is cached: no rates either
+            weights, total = self._weights_and_total(snapshot)
+        else:
+            weights, total, _ = _cpt_row(self, snapshot)
+        if self.fmt is None:
             return invert_cdf(weights, stream.next_unit() * total)
-        return invert_cdf(weights, stream.next_below(sum(weights)))
+        return invert_cdf(weights, stream.next_below(total))
 
 
 class MhKernel:
@@ -282,7 +358,7 @@ class MhKernel:
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
                  proposal=None, table: _EnergyTable | None = None):
-        self.table, self.parts = _kernel_parts(var, arity, factors, fmt, table)
+        self.table, self.parts, self.blanket = _kernel_parts(var, arity, factors, fmt, table)
         self.var = var
         self.arity = arity
         self.fmt = fmt
@@ -318,6 +394,10 @@ class MhKernel:
             total += b
         return total
 
+    def tabulate(self, snapshot) -> list:
+        """The conditional's CPT row: every value's _energy_of."""
+        return [self._energy_of(v, snapshot) for v in range(self.arity)]
+
     def step(self, current: int, snapshot, stream: EntropyStream) -> int:
         if self._proposal is None:
             proposed = stream.next_below(self.arity)
@@ -325,8 +405,12 @@ class MhKernel:
             proposed = invert_cdf(self._proposal[current], stream.next_unit())
         if proposed == current:
             return current
-        e_cur = self._energy_of(current, snapshot)
-        e_new = self._energy_of(proposed, snapshot)
+        if self.blanket is None:  # no row is cached: two energies, not arity
+            e_cur = self._energy_of(current, snapshot)
+            e_new = self._energy_of(proposed, snapshot)
+        else:
+            row = _cpt_row(self, snapshot)
+            e_cur, e_new = row[current], row[proposed]
         if self.fmt is None:
             if e_new == float("inf"):
                 return current
@@ -403,6 +487,8 @@ class TransitionAssembly:
                 if part.keys not in (part.neighbors, keys):
                     raise ConfigError(f"{circ.var!r}: kernel bound to other registers")
                 part.keys = keys
+            if circ.kernel.blanket is not None:
+                circ.kernel.blanket = _blanket(circ.kernel.parts)
         self.meta = dict(meta or {})
         self._validated = False
         self._lanes = None  # _lower(self), built on the first run
@@ -463,17 +549,21 @@ class Trace:
         idx = self.var_names.index(name)
         return [r[idx] for r in self.rows]
 
+    def _matrix(self) -> np.ndarray:
+        """The rows as one int64 array, one column per variable."""
+        return np.asarray(self.rows, np.int64).reshape(len(self.rows), len(self.var_names))
+
     def empirical_joint(self, arities) -> np.ndarray:
-        counts = np.zeros(tuple(arities))
-        for row in self.rows:
-            counts[row] += 1
+        arities = tuple(arities)
+        flat = np.zeros(len(self.rows), np.int64)
+        for column, k in zip(self._matrix().T, arities):
+            flat = flat * k + column
+        counts = np.bincount(flat, minlength=math.prod(arities)).reshape(arities)
         return counts / max(1, len(self.rows))
 
     def marginal(self, name: str, arity: int) -> np.ndarray:
-        counts = np.zeros(arity)
-        for v in self.column(name):
-            counts[v] += 1
-        return counts / max(1, len(self.rows))
+        column = self._matrix()[:, self.var_names.index(name)]
+        return np.bincount(column, minlength=arity) / max(1, len(self.rows))
 
     def to_csv(self) -> str:
         lines = [",".join(self.var_names)]

@@ -4,9 +4,11 @@ Everything here computes expected values by enumeration or direct summation,
 never through the sampling paths under test. FixedUnitStream drives a sampler
 with one chosen uniform draw. The *_by_parts functions recompute a scalar
 kernel's energies one factor at a time, each specialized and quantized on
-its own at the temperature. dpmm_reference_chain replays the DPMM sampler
-from per-cluster energies computed in a loop, drawing through the
-discrete-sample gate, which is tested on its own.
+its own at the temperature. recomputing_twin turns an assembly into one
+whose kernels compute their conditional row on every call, caching none.
+dpmm_reference_chain replays the DPMM sampler from per-cluster energies
+computed in a loop, drawing through the discrete-sample gate, which is
+tested on its own.
 """
 
 import math
@@ -296,3 +298,12 @@ def mh_energy_by_parts(factors, var, value, snapshot, fmt, temperature):
             total += e
         return total
     return None if fmt.max_raw in entries else sum(entries)
+
+
+def recomputing_twin(assembly):
+    """The assembly, with every kernel computing its conditional row on every
+    call, the way a kernel past transition.CPT_MAX_ENTRIES does, so no row
+    is ever cached."""
+    for circ in assembly.circuits.values():
+        circ.kernel.blanket = None
+    return assembly

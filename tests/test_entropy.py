@@ -144,3 +144,24 @@ def test_fork_states_remap_the_zero_word():
 def test_fork_states_check_the_seed_like_the_stream(seed):
     with pytest.raises(InvalidWidthError):
         fork_states(seed, 2)
+
+
+def _below_by_wide_words(stream, bound):
+    """next_below as stitched rejection: every attempt takes _next_wide(k)."""
+    if bound == 1:
+        return 0
+    k = (bound - 1).bit_length()
+    while True:
+        v = stream._next_wide(k)
+        if v < bound:
+            return v
+
+
+def test_next_below_takes_the_stitched_words():
+    # bounds just below, at and above 2^k: most and fewest rejections
+    for k, bound in ((k, bound) for k in [*range(1, 66), 70, 128, 129, 270]
+                     for bound in (2 ** k - 1, 2 ** k, 2 ** k + 1, 3 * 2 ** (k - 1))):
+        a, b = EntropyStream(k), EntropyStream(k)
+        assert ([a.next_below(bound) for _ in range(20)]
+                == [_below_by_wide_words(b, bound) for _ in range(20)])
+        assert (a.state, a.draws_consumed) == (b.state, b.draws_consumed)

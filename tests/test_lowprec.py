@@ -13,6 +13,7 @@ from stochcirc.lowprec import (
     default_entropy_grid,
     discrete_sample,
     encode_energy,
+    invert_cdf,
     mean_dirichlet_entropy,
     precision_sweep,
     relative_entropy,
@@ -187,3 +188,12 @@ def test_sweep_low_precision_much_worse():
 def test_energy_vector_needs_outcome():
     with pytest.raises(ConfigError):
         EnergyVector([], DEFAULT_FORMAT)
+
+
+@pytest.mark.parametrize("weights, last", [([2, 0, 0], 0), ([0, 3, 0], 1), ([1, 0, 4, 0], 2),
+                                           ([1.0, 2.0 ** -53, 0.0], 1)])
+def test_invert_cdf_at_or_past_the_sum_takes_the_last_positive_weight(weights, last):
+    total = sum(weights)
+    for u in (total, total + 1, 2 * total + 5):
+        assert invert_cdf(weights, u) == last
+    assert invert_cdf(weights, 0) == next(i for i, w in enumerate(weights) if w > 0)

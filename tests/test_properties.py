@@ -20,6 +20,7 @@ from oracles import (
     evidence_by_pixel,
     gibbs_energies_by_parts,
     mh_energy_by_parts,
+    recomputing_twin,
 )
 from stochcirc import dpmm
 from stochcirc.compiler import compile as compile_graph
@@ -34,6 +35,7 @@ from stochcirc.mrf import (
     evidence_from_images,
     motion_offsets,
 )
+from stochcirc.spiking import simulate_spiking_assembly
 from stochcirc.transition import LANE_MIN_WIDTH, GibbsKernel, TransitionAssembly, run
 from test_lane import both_paths
 
@@ -258,6 +260,46 @@ def test_one_table_matches_per_part_quantization(case, kernel, fmt, temperatures
     assert results[0] == results[1]
     assert ([(c.stream.state, c.stream.draws_consumed) for c in asm.circuits.values()]
             == [(c.stream.state, c.stream.draws_consumed) for c in reference.circuits.values()])
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(case=small_graphs(), realization=st.sampled_from(["gibbs", "mh", "spike"]),
+       fmt=st.sampled_from([EnergyFormat(6, 2), EnergyFormat(8, 4), EnergyFormat(16, 8), None]),
+       schedule=st.sampled_from(["parallel", "random-scan"]),
+       temperatures=st.lists(st.sampled_from([0.3, 1.0, 1.7]), min_size=2, max_size=2),
+       seed=st.integers(0, 2**16))
+def test_cached_rows_draw_what_rows_computed_per_call_draw(case, realization, fmt, schedule,
+                                                           temperatures, seed):
+    """An assembly drawing from its cached conditional rows and its twin
+    recomputing every row give the same trace rows, registers, rasters,
+    no-support errors and final stream words and draw counts, across a
+    temperature change between runs."""
+    graph, clamps = case
+    kernel = "mh" if realization == "mh" else "gibbs"
+    cached, reference = (compile_graph(graph, kernel=kernel, fmt=fmt, schedule=schedule,
+                                       seed=seed) for _ in range(2))
+    recomputing_twin(reference)
+    results = []
+    for assembly in (cached, reference):
+        for name, value in clamps.items():
+            assembly.clamp(name, value)
+        out = []
+        for temperature in temperatures:
+            assembly.set_temperature(temperature)
+            try:
+                if realization == "spike":
+                    raster, trace = simulate_spiking_assembly(assembly, 4, burn_in=2)
+                    out.append((trace.rows, raster.events, raster.transitions))
+                else:
+                    out.append(run(assembly, 4, burn_in=2).rows)
+            except NoSupportError as err:
+                out.append((str(err), err.variable))
+            out.append(assembly.values.tolist())
+        streams = [c.stream for c in assembly.circuits.values()] + [assembly.scan_stream]
+        out.append([(s.state, s.draws_consumed) for s in streams if s is not None])
+        results.append(out)
+    assert results[0] == results[1]
+    assert next(iter(reference.circuits.values())).kernel.table.cpt == {}
 
 
 def _cached_and_reference_dpmm_chains(data, fmt, alpha, beta_on, beta_off, seed, sweeps=3):

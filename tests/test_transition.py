@@ -25,9 +25,11 @@ from stochcirc.lowprec import (
     total_variation,
 )
 from stochcirc.transition import (
+    CPT_MAX_ENTRIES,
     FaultModel,
     GibbsKernel,
     MhKernel,
+    Trace,
     TransitionAssembly,
     TransitionCircuit,
     run,
@@ -453,14 +455,15 @@ def test_kernels_check_arity_at_construction(kernel_cls):
 def test_float_gibbs_totals_the_weights_left_to_right():
     # left to right 1 + 2^-53 + 2^-53 rounds to 1 twice, the exact sum is
     # 1 + 2^-52; scaled by the largest unit draw, that exact total would
-    # run past the running sum and fall through to the zero-weight value 3
+    # run past the running sum, where invert_cdf takes the last value of
+    # positive weight, 2, not the zero-weight value 3
     table = [1.0, 2.0 ** -53, 2.0 ** -53, 0.0]
     kernel = GibbsKernel("X", 4, [Factor("u", ["X"], table, [4])], None)
     weights = float_weights(kernel.conditional_energies({}))
     assert weights == table
     assert math.fsum(weights) > weights[0] + weights[1] + weights[2] + weights[3]
     u = 1.0 - 2.0 ** -53
-    assert invert_cdf(weights, u * math.fsum(weights)) == 3
+    assert invert_cdf(weights, u * math.fsum(weights)) == 2
     assert kernel.step(0, {"X": 0}, FixedUnitStream(u)) == 0
 
 
@@ -473,3 +476,87 @@ def test_negative_burn_in_is_rejected():
 def test_fault_report_checks_every_nonzero_rate(rate):
     with pytest.raises(ConfigError, match="bit flip rate"):
         fault_kl_report(fork_graph(), rates=(0.0, rate), sweeps=10)
+
+
+def _counted(trace, name, arity):
+    counts = [0.0] * arity
+    for row in trace.rows:
+        counts[row[trace.var_names.index(name)]] += 1
+    return np.array(counts) / max(1, len(trace.rows))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7, 1000])
+def test_trace_histograms_count_every_row(n_rows):
+    stream = EntropyStream(n_rows)
+    arities = [3, 1, 5, 2]
+    # the third variable never takes its value 4, the fourth never its 1
+    rows = [(stream.next_below(3), 0, stream.next_below(4), 0) for _ in range(n_rows)]
+    trace = Trace(["a", "b", "c", "d"], rows)
+    for name, arity in zip(trace.var_names, arities):
+        got = trace.marginal(name, arity)
+        assert got.dtype == np.float64
+        assert got.tolist() == _counted(trace, name, arity).tolist()
+    joint = np.zeros(arities)
+    for row in rows:
+        joint[row] += 1
+    got = trace.empirical_joint(arities)
+    assert got.shape == tuple(arities)
+    assert got.tolist() == (joint / max(1, n_rows)).tolist()
+
+
+def test_a_temperature_change_or_a_new_block_empties_the_row_cache():
+    asm = make_assembly(fork_graph(), seed=3)
+    table = asm.circuits["A"].kernel.table
+    run(asm, 5, burn_in=0)
+    assert table.cpt
+    asm.set_temperature(1.0)   # no change: the rows stay
+    assert table.cpt
+    asm.set_temperature(0.5)
+    assert table.cpt == {}
+    run(asm, 5, burn_in=0)
+    assert table.cpt
+    GibbsKernel("A", 2, [Factor("new", ["A"], [0.2, 0.9], [2])], DEFAULT_FORMAT, table=table)
+    assert table.cpt == {}
+
+
+def _kernel_over(neighbor_arities, kernel_cls, fmt, seed=0):
+    """A kernel of arity 8 under one factor over neighbors of these arities."""
+    names = [f"n{i}" for i in range(len(neighbor_arities))]
+    shape = (*neighbor_arities, 8)
+    table = 0.05 + np.random.default_rng(seed).random(math.prod(shape))
+    return kernel_cls("X", 8, [Factor("f", [*names, "X"], table.tolist(), shape)], fmt), names
+
+
+@pytest.mark.parametrize("fmt", [DEFAULT_FORMAT, None], ids=["8,4", "float"])
+@pytest.mark.parametrize("kernel_cls", [GibbsKernel, MhKernel])
+def test_only_a_kernel_within_the_bound_caches_rows(kernel_cls, fmt):
+    at = (16, CPT_MAX_ENTRIES // (16 * 8))
+    for arities, cached in ((at, True), ((at[0], at[1] + 1), False)):
+        kernel, names = _kernel_over(arities, kernel_cls, fmt)
+        twin, _ = _kernel_over(arities, kernel_cls, fmt)
+        twin.blanket = None   # computes every row per call
+        assert (kernel.blanket is not None) == cached
+        draws = []
+        for k in (kernel, twin):
+            stream = EntropyStream(11)
+            draws.append([k.step(stream.next_below(8),
+                                 {n: stream.next_below(a) for n, a in zip(names, arities)},
+                                 stream) for _ in range(50)])
+        assert draws[0] == draws[1]
+        assert bool(kernel.table.cpt) == cached
+
+
+@pytest.mark.parametrize("fmt", [DEFAULT_FORMAT, None], ids=["8,4", "float"])
+def test_a_conditional_with_no_support_raises_on_every_call_and_is_never_cached(fmt):
+    # B has no support given A = 1
+    kernel = GibbsKernel("B", 2, [Factor("f", ["A", "B"], [1.0, 2.0, 0.0, 0.0], [2, 2])], fmt)
+    stream = EntropyStream(4)
+    for _ in range(2):
+        with pytest.raises(NoSupportError) as err:
+            kernel.step(0, {"A": 1}, stream)
+        assert err.value.variable == "B"
+        assert str(err.value) == "variable 'B': conditional has no support"
+        assert kernel.table.cpt == {}
+    assert stream.draws_consumed == 0
+    kernel.step(0, {"A": 0}, stream)
+    assert len(kernel.table.cpt) == 1
