@@ -37,6 +37,9 @@ MULTIPLIER_BITS = 16
 #: 2^32 bits, would never finish a sweep; (12,1) and (10,0) are admitted,
 #: (12,0) is not.
 GIBBS_WEIGHT_BITS = 4096
+#: EnergyFormat refuses more fraction bits: the weight formula's multiplier
+#: table has 2^f entries, so (32,27) would take minutes and gigabytes to build.
+MAX_FRAC_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,9 @@ class EnergyFormat:
     def __post_init__(self):
         if not 1 <= self.bits <= 32:
             raise ConfigError(f"total bits must be in [1, 32], got {self.bits}")
-        if not 0 <= self.frac <= self.bits:
-            raise ConfigError(
-                f"fraction bits must be in [0, {self.bits}], got {self.frac}"
-            )
+        top = min(self.bits, MAX_FRAC_BITS)
+        if not 0 <= self.frac <= top:
+            raise ConfigError(f"fraction bits must be in [0, {top}], got {self.frac}")
         object.__setattr__(self, "max_raw", (1 << self.bits) - 1)
 
     @property
@@ -92,17 +94,18 @@ class EnergyWord:
         return self.raw == self.fmt.max_raw
 
 
-_TABLE_CACHE: dict[int, tuple[list[int], np.ndarray]] = {}
+_TABLE_CACHE: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
 
 
-def _multiplier_table(frac: int) -> tuple[list[int], np.ndarray]:
-    """Sub-unit multipliers M[r] and their exact log2 values, cached per f."""
+def _multiplier_table(frac: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Sub-unit multipliers M[r], as a list and as int64, and their exact
+    log2 values, cached per f."""
     cached = _TABLE_CACHE.get(frac)
     if cached is None:
         scale = 1 << MULTIPLIER_BITS
         table = [round(2.0 ** (-r / (1 << frac)) * scale) for r in range(1 << frac)]
-        cached = (table, np.log2(np.asarray(table, dtype=float)))
-        _TABLE_CACHE[frac] = cached
+        lanes = np.asarray(table, np.int64)
+        cached = _TABLE_CACHE[frac] = (table, lanes, np.log2(lanes))
     return cached
 
 
@@ -132,7 +135,7 @@ def integer_weights(raws, fmt: EnergyFormat) -> list[int]:
     if not live:
         raise NoSupportError("all energies saturated: distribution has no support")
     emin = min(live)
-    table, _ = _multiplier_table(fmt.frac)
+    table = _multiplier_table(fmt.frac)[0]
     mask = (1 << fmt.frac) - 1
     qmax = sat >> fmt.frac
     out = []
@@ -227,7 +230,7 @@ def declared_log2_weights(raw: np.ndarray, fmt: EnergyFormat) -> np.ndarray:
     Saturated entries get -inf. Raises NoSupportError when some vector is
     saturated everywhere.
     """
-    _, log2m = _multiplier_table(fmt.frac)
+    log2m = _multiplier_table(fmt.frac)[2]
     sat = raw == fmt.max_raw
     if np.any(np.all(sat, axis=-1)):
         raise NoSupportError("all energies saturated: distribution has no support")

@@ -179,7 +179,8 @@ class LatticeMRF:
     def total_energy(self, labels: np.ndarray) -> float:
         """Model energy of a label grid: evidence plus smoothness, in bits."""
         labels = np.asarray(labels)
-        e = np.take_along_axis(self.evidence, labels[..., None], axis=2).sum()
+        flat = labels.reshape(-1) + np.arange(0, labels.size * self.labels, self.labels)
+        e = self.evidence.reshape(-1)[flat].sum()   # site s's row starts at s * labels
         dh = np.abs(labels[:, 1:] - labels[:, :-1])
         dv = np.abs(labels[1:, :] - labels[:-1, :])
         e += self.lam * np.minimum(dh, self.tau).sum()
@@ -232,7 +233,7 @@ class _Checkerboard:
     those for its west or north neighbor (its second axis), and a zero
     block. Each site has five parts: its unary rows and one per stencil
     neighbor, where a missing neighbor reads the zero block; part p's row
-    starts at offset[s, p] + label[nbr[s, p]] * stride[s, p]. These are the
+    starts at offset[p, s] + label[nbr[p, s]] * stride[p, s]. These are the
     rows, and the (sorted-name, so row-major) stream forks, that compile
     gives each site. Group 0 is the greedy coloring's color 0: the parity of
     the first site of maximum degree.
@@ -257,19 +258,20 @@ class _Checkerboard:
         stencil = [(col + 1 < w, 1, first), (row + 1 < h, w, first),
                    (col > 0, -1, second), (row > 0, -w, second)]
         nbr = np.stack([sites] + [np.where(ok, sites + step, sites)
-                                  for ok, step, _ in stencil], axis=1)
-        stride = np.stack([np.zeros_like(sites)] + [ok * d for ok, _, _ in stencil], axis=1)
+                                  for ok, step, _ in stencil])
+        stride = np.stack([np.zeros_like(sites)] + [ok * d for ok, _, _ in stencil])
         offset = np.stack([unary_at + sites * d] + [np.where(ok, block, zero)
-                                                    for ok, _, block in stencil], axis=1)
+                                                    for ok, _, block in stencil])
         degree = sum(ok.astype(int) for ok, _, _ in stencil)
         parity = (row + col) % 2
         color = parity != parity[degree.argmax()]
-        pad = np.zeros((1, d), bool)
+        pad = np.zeros((d, 1), bool)
 
         def name(site: int) -> str:
             return mrf.site_name(*divmod(site, w))
 
-        self.groups = [_LaneGroup(g, nbr[g], stride[g], offset[g], pad, states[g], name, table)
+        self.groups = [_LaneGroup(g, nbr[:, g], stride[:, g], offset[:, g], pad, states[g],
+                                  name, table)
                        for g in (sites[~color], sites[color]) if g.size]
         self.shape = (h, w)
         self.state = np.zeros(n, np.int64)

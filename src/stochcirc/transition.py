@@ -34,8 +34,9 @@ kernels read a list snapshot of it; a wide color class of fixed-point Gibbs
 circuits runs as lanes on it: a _LaneGroup of index arrays into their table
 and into the vector, with one uint64 xorshift word per circuit, whose one
 step updates every lane at once, bit-identical to updating the circuits one
-at a time. _lower lowers wide groups once per assembly; each run binds their
-live members. mrf lowers a lattice to two such groups on a table of its own.
+at a time; its arrays are candidate-major, lanes last. _lower lowers wide
+groups once per assembly; each run binds their live members by slicing the
+lane axis. mrf lowers a lattice to two such groups on a table of its own.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ LANE_MIN_WIDTH = 16
 CPT_MAX_ENTRIES = 4096
 #: Lane weights are int64: Qmax + MULTIPLIER_BITS + ceil(log2 K) must fit.
 LANE_WEIGHT_BITS = 62
+_POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))  # 2^0 .. 2^62
 
 
 def _specialized_energy_table(factor: Factor, var: str) -> np.ndarray:
@@ -584,13 +586,9 @@ def _apply_fault(value: int, circuit: TransitionCircuit, rate: float) -> int:
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:
-    """int.bit_length of every entry of a nonnegative int64 array, exactly.
-
-    The float exponent is exact below 2^53; above, rounding to the next
-    power of two can overshoot by one, which the shift test takes back.
-    """
-    n = np.frexp(v.astype(np.float64))[1].astype(np.int64)
-    return n - ((n > 0) & ((v >> np.maximum(n - 1, 0)) == 0))
+    """int.bit_length of every nonnegative int64 entry: how many powers of
+    two are at or below it."""
+    return np.searchsorted(_POW2, v, side="right")
 
 
 def _lane_weights_fit(fmt: EnergyFormat, arity: int) -> bool:
@@ -604,11 +602,18 @@ def _lane_below(bound: np.ndarray, lanes: np.ndarray, draws: np.ndarray) -> np.n
 
     Every bound is at least 2^16 (the weight of the minimum-energy
     candidate) and at most 2^62, so no lane takes next_below's bound-1
-    shortcut and each rejection attempt is one 64-bit word.
+    shortcut and each rejection attempt is one 64-bit word. The first
+    attempt runs in place on the prefix; only rejected lanes retry.
     """
     shift = (64 - _bit_length(bound - 1)).astype(np.uint64)
-    out = np.empty(bound.size, np.int64)
-    pending = np.arange(bound.size)
+    bound = bound.view(np.uint64)  # nonnegative, so the same values unsigned
+    x = lanes[:bound.size]
+    x ^= x << 13
+    x ^= x >> 7
+    x ^= x << 17
+    draws[:bound.size] += 1
+    out = x >> shift
+    pending = np.flatnonzero(out >= bound)
     while pending.size:
         x = lanes[pending]
         x ^= x << 13
@@ -616,25 +621,29 @@ def _lane_below(bound: np.ndarray, lanes: np.ndarray, draws: np.ndarray) -> np.n
         x ^= x << 17
         lanes[pending] = x
         draws[pending] += 1
-        v = (x >> shift[pending]).astype(np.int64)
+        v = x >> shift[pending]
         ok = v < bound[pending]
         out[pending[ok]] = v[ok]
         pending = pending[~ok]
-    return out
+    return out.view(np.int64)
 
 
 class _LaneGroup:
     """A color class of fixed-point Gibbs circuits as lanes: the one lane kernel.
 
     Lane m updates values[sites[m]] of an int64 value vector. Its energy for
-    candidate v is the sum over its parts p of table.raw[base[m, p] + v], where
-    base[m, p] = offset[m, p] + sum_t values[nbr[m, p, t]] * stride[m, p, t]
+    candidate v is the sum over its parts p of table.raw[base[p, m] + v], where
+    base[p, m] = offset[p, m] + sum_t values[nbr[p, t, m]] * stride[p, t, m]
     and table is the lanes' fixed-point _EnergyTable, at its temperature:
     exactly the scalar kernel's part sum. Where every part reads at most one
-    neighbor, nbr and stride may drop their last axis. pad, which broadcasts
-    against (lanes, candidates), masks candidates past a lane's arity. words
-    and draws are each lane's xorshift stream word and draw count, advanced
-    in place, and name(site) names the variable at a site.
+    neighbor, nbr and stride may drop their middle axis. pad, which
+    broadcasts against (candidates, lanes), masks candidates past a lane's
+    arity. words and draws are each lane's xorshift stream word and draw
+    count, advanced in place, and name(site) names the variable at a site.
+    The arrays are lanes last: the step gathers one part at a time into a
+    (candidates, lanes) block and adds it in place, so every add, minimum
+    and CDF step runs on whole rows (one (parts, candidates, lanes) gather
+    reduced over parts measured about twice as slow).
     """
 
     def __init__(self, sites, nbr, stride, offset, pad, words, name, table: _EnergyTable):
@@ -647,6 +656,7 @@ class _LaneGroup:
         self.draws = np.zeros(len(sites), np.int64)
         self.name = name
         self.table = table
+        self.candidates = np.arange(pad.shape[0])[:, None]
 
     def step(self, values: np.ndarray):
         """GibbsKernel.step on every lane, all reading values as they stand.
@@ -658,31 +668,30 @@ class _LaneGroup:
         """
         base = values[self.nbr] * self.stride
         if base.ndim == 3:
-            base = base.sum(axis=2)
+            base = base.sum(axis=1)
         base += self.offset
         fmt, table = self.table.fmt, self.table.raw
         sat = fmt.max_raw
-        candidates = np.arange(self.pad.shape[1])
-        # part by part: numpy reduces a short middle axis far slower than it adds
-        sums = table[base[:, 0, None] + candidates]
+        sums = table[base[0] + self.candidates]
         dead = self.pad | (sums == sat)
-        for p in range(1, base.shape[1]):
-            raw = table[base[:, p, None] + candidates]
+        for p in range(1, len(base)):
+            raw = table[base[p] + self.candidates]
             sums += raw
             dead |= raw == sat
-        emin = np.where(dead, np.iinfo(np.int64).max, sums).min(axis=1, keepdims=True)
-        energy = np.clip(sums - emin, 0, sat - 1)
-        multipliers = np.asarray(_multiplier_table(fmt.frac)[0], np.int64)
-        weights = np.where(
-            dead, 0,
-            multipliers[energy & ((1 << fmt.frac) - 1)]
-            << ((sat >> fmt.frac) - (energy >> fmt.frac)))
-        empty = dead.all(axis=1)
-        stop = int(empty.argmax()) if empty.any() else len(base)
-        cdf = np.cumsum(weights[:stop], axis=1)
-        u = _lane_below(cdf[:, -1], self.words, self.draws)
-        values[self.sites[:stop]] = np.argmax(u[:, None] < cdf, axis=1)
-        if stop < len(base):
+        np.putmask(sums, dead, (1 << 63) - 1)  # never the minimum, then weightless
+        sums -= sums.min(axis=0)
+        energy = np.minimum(sums, sat - 1, out=sums)
+        weights = _multiplier_table(fmt.frac)[1][energy & ((1 << fmt.frac) - 1)]
+        weights <<= (sat >> fmt.frac) - (energy >> fmt.frac)
+        np.putmask(weights, dead, 0)
+        for j in range(1, len(weights)):  # the running CDF, row by row
+            weights[j] += weights[j - 1]
+        empty = weights[-1] == 0  # a live candidate weighs at least 2^15
+        stop = int(empty.argmax()) if empty.any() else len(empty)
+        u = _lane_below(weights[-1, :stop], self.words, self.draws)
+        # as the CDF never decreases: the first candidate whose CDF exceeds u
+        values[self.sites[:stop]] = (u >= weights[:, :stop]).sum(axis=0)
+        if stop < len(empty):
             raise _no_support(self.name(int(self.sites[stop])))
 
 
@@ -713,18 +722,18 @@ def _lower(assembly: TransitionAssembly) -> dict:
             continue
         n_parts = max(1, max(len(kern.parts) for kern in kernels))
         width = max((len(p.keys) for kern in kernels for p in kern.parts), default=0)
-        nbr = np.zeros((len(group), n_parts, width), np.int64)
+        nbr = np.zeros((n_parts, width, len(group)), np.int64)
         stride = np.zeros_like(nbr)
         # keyed by size, so the zeros come last: a lane reads k candidates
         # from every row, past the end of a narrower part's block
         zeros = table.add(("zeros", k, table.size), np.zeros, k)[0]
-        offset = np.full(nbr.shape[:2], zeros, np.int64)
+        offset = np.full((n_parts, len(group)), zeros, np.int64)
         for m, kern in enumerate(kernels):
             for j, part in enumerate(kern.parts):
-                offset[m, j] = part.offset
-                nbr[m, j, :len(part.keys)] = part.keys
-                stride[m, j, :len(part.strides)] = part.strides
-        pad = np.arange(k) >= np.array([[kern.arity] for kern in kernels])
+                offset[j, m] = part.offset
+                nbr[j, :len(part.keys), m] = part.keys
+                stride[j, :len(part.strides), m] = part.strides
+        pad = np.arange(k)[:, None] >= np.array([kern.arity for kern in kernels])
         sites = np.array([assembly.index[n] for n in group], np.int64)
         lowered[gi] = (sites, (nbr, stride, offset, pad), table)
     return lowered
@@ -746,9 +755,10 @@ def _bind_lanes(assembly: TransitionAssembly) -> dict:
     for gi, (sites, arrays, table) in assembly._lanes.items():
         live = free[sites]
         if live.sum() >= LANE_MIN_WIDTH:
-            words = [registers[i].stream.state for i in sites[live].tolist()]
-            bound[gi] = _LaneGroup(sites[live], *(a[live] for a in arrays), words,
-                                   assembly.names.__getitem__, table)
+            if not live.all():  # else share the arrays: the lane step never writes them
+                sites, arrays = sites[live], [a[..., live] for a in arrays]
+            words = [registers[i].stream.state for i in sites.tolist()]
+            bound[gi] = _LaneGroup(sites, *arrays, words, assembly.names.__getitem__, table)
     return bound
 
 

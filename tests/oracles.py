@@ -8,7 +8,8 @@ its own at the temperature. recomputing_twin turns an assembly into one
 whose kernels compute their conditional row on every call, caching none.
 dpmm_reference_chain replays the DPMM sampler from per-cluster energies
 computed in a loop, drawing through the discrete-sample gate, which is
-tested on its own.
+tested on its own. NoWideMultiplierTables stands in for the multiplier-table
+cache and fails any build past MAX_FRAC_BITS.
 """
 
 import math
@@ -17,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from stochcirc.factorgraph import Factor, FactorGraph, Variable
-from stochcirc.lowprec import EnergyVector, discrete_sample
+from stochcirc.lowprec import MAX_FRAC_BITS, EnergyVector, discrete_sample
 
 
 class FixedUnitStream:
@@ -28,6 +29,15 @@ class FixedUnitStream:
 
     def next_unit(self):
         return self.u
+
+
+class NoWideMultiplierTables(dict):
+    """A multiplier-table cache that fails a build past MAX_FRAC_BITS, so a
+    test of the bound fails at once instead of building the table."""
+
+    def get(self, frac, default=None):
+        assert frac <= MAX_FRAC_BITS, f"multiplier table with 2^{frac} entries built"
+        return super().get(frac, default)
 
 
 def fork_graph(evidence=None) -> FactorGraph:

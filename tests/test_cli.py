@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import fork_graph, joint_by_enumeration
-from stochcirc import fixture_text
+from oracles import NoWideMultiplierTables, fork_graph, joint_by_enumeration
+from stochcirc import fixture_text, lowprec
 from stochcirc.cli import main
 from stochcirc.lowprec import total_variation
 from stochcirc.mrf import random_dot_stereogram
@@ -249,6 +249,24 @@ def test_bad_format_flag(runner, tmp_path, model_file):
     result = runner.invoke(main, ["--format", "nope,x", "--out-dir",
                                   str(tmp_path), "query", str(model_file)])
     assert result.exit_code == 6
+
+
+@pytest.mark.parametrize("fmt", ["32,27", "32,32"])
+def test_format_past_the_fraction_bound_exits_6_before_any_table(runner, tmp_path, fmt,
+                                                                 monkeypatch):
+    # both formats fit the lanes: without the bound, the first lane step
+    # would build a multiplier table of 2^27 or 2^32 entries
+    monkeypatch.setattr(lowprec, "_TABLE_CACHE", NoWideMultiplierTables())
+    pair, _ = random_dot_stereogram(6, 6, 1, seed=0)
+    left, right = tmp_path / "l.pgm", tmp_path / "r.pgm"
+    write_pgm(left, pair.first)
+    write_pgm(right, pair.second)
+    result = runner.invoke(main, ["--format", fmt, "--out-dir", str(tmp_path / "out"),
+                                  "stereo", str(left), str(right), "-d", "3",
+                                  "--sweeps", "2"])
+    assert result.exit_code == 6, result.output
+    assert "fraction bits must be in [0, 16]" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [

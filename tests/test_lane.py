@@ -279,7 +279,38 @@ def test_narrow_group_width_boundary():
 
 
 def test_bit_length_is_exact_above_float_precision():
-    values = np.array([0, 1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**62 - 1, 2**62,
-                       2**63 - 1], dtype=np.int64)
+    edges = [2**j + delta for j in range(63) for delta in (-1, 0, 1)] + [2**63 - 1]
+    randoms = np.random.default_rng(21).integers(0, 2**63 - 1, size=1000).tolist()
+    values = np.array(edges + randoms, dtype=np.int64)
     assert transition._bit_length(values).tolist() == [int(v).bit_length()
                                                        for v in values.tolist()]
+
+
+def lane_bounds():
+    """Lane totals from 2^16, the least, to 2^62, the most: powers of two,
+    which accept every attempt, one past them, which reject about half,
+    and random totals near 2^50, the widest a (10,5) lane of 8 reaches."""
+    powers = [2**k for k in range(16, 63)]
+    above = [2**k + 1 for k in range(16, 62)]
+    near = np.random.default_rng(22).integers(2**49, 2**51, size=200).tolist()
+    return np.array(powers + above + near, dtype=np.int64)
+
+
+@pytest.mark.parametrize("prefix", [None, 101], ids=["all lanes", "a prefix"])
+def test_lane_below_is_next_below_on_every_lane(prefix):
+    bounds = lane_bounds()
+    n = bounds.size
+    streams = [EntropyStream(23).fork(i) for i in range(n)]
+    words = np.array([s.state for s in streams], np.uint64)
+    draws = np.zeros(n, np.int64)
+    untouched = words[prefix:].copy() if prefix else None
+    live = bounds[:prefix]
+    for _ in range(6):
+        out = transition._lane_below(live, words, draws)
+        assert out.tolist() == [s.next_below(int(b)) for s, b in zip(streams, live.tolist())]
+        assert words[:live.size].tolist() == [s.state for s in streams[:live.size]]
+        assert draws[:live.size].tolist() == [s.draws_consumed for s in streams[:live.size]]
+    assert draws[:live.size].sum() > 6 * live.size   # some lanes were rejected
+    if prefix:
+        assert words[prefix:].tolist() == untouched.tolist()
+        assert not draws[prefix:].any()

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import NoWideMultiplierTables
+from stochcirc import lowprec
 from stochcirc.entropy import EntropyStream
 from stochcirc.errors import ConfigError, DomainError, NoSupportError
 from stochcirc.lowprec import (
     DEFAULT_FORMAT,
+    MAX_FRAC_BITS,
     EnergyFormat,
     EnergyVector,
     concentration_for_entropy,
@@ -30,6 +33,22 @@ def test_format_properties():
     assert fmt.max_energy == 254 / 16
     with pytest.raises(ConfigError):
         EnergyFormat(8, 9)
+
+
+@pytest.mark.parametrize("bits,frac", [(32, 27), (32, 32), (20, 17)])
+def test_format_refuses_fraction_bits_past_the_multiplier_bound(bits, frac, monkeypatch):
+    monkeypatch.setattr(lowprec, "_TABLE_CACHE", NoWideMultiplierTables())
+    with pytest.raises(ConfigError, match=f"must be in \\[0, {MAX_FRAC_BITS}\\], got {frac}"):
+        EnergyFormat(bits, frac)
+
+
+def test_format_admits_the_widest_fraction_the_bound_allows(monkeypatch):
+    monkeypatch.setattr(lowprec, "_TABLE_CACHE", NoWideMultiplierTables())
+    fmt = EnergyFormat(32, MAX_FRAC_BITS)
+    qmax = fmt.max_raw >> MAX_FRAC_BITS
+    # energies 0, 1 bit and the sentinel
+    assert EnergyVector([0, 1 << MAX_FRAC_BITS, fmt.max_raw], fmt).weights() == [
+        1 << (16 + qmax), 1 << (15 + qmax), 0]
 
 
 def test_encode_energy_examples():
