@@ -383,7 +383,8 @@ def stereo_cmd(ctx, left, right, candidates, sweeps, lam, tau, anneal):
 @click.option("--sweeps", type=int, default=200, show_default=True)
 @click.option("--lam", type=float, default=1.0, show_default=True)
 @click.option("--tau", type=float, default=2.0, show_default=True)
-@click.option("--anneal", default="2.0,0.1", show_default=True)
+@click.option("--anneal", default="2.0,0.1", show_default=True,
+              help="T_start,T_end geometric ladder, or 'off' to sample at T=1.")
 @click.pass_context
 def motion_cmd(ctx, first, second, candidates, sweeps, lam, tau, anneal):
     """Motion labels between two frames (candidate offsets in ring order)."""

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma
 
 from .entropy import EntropyStream
 from .errors import ConfigError, DomainError, NoSupportError
@@ -291,6 +290,7 @@ _CONC_LO, _CONC_HI = 1e-3, 1e3
 
 def mean_dirichlet_entropy(alpha: float, k: int) -> float:
     """E[H(p)] in bits for p ~ Dirichlet(alpha * 1_k)."""
+    from scipy.special import digamma  # only the precision sweep pays scipy's import
     return float(digamma(k * alpha + 1.0) - digamma(alpha + 1.0)) / math.log(2.0)
 
 

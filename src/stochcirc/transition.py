@@ -20,14 +20,15 @@ alone gets its own.
 
 A scalar kernel draws from its conditional probability table: one row per
 configuration of its Markov blanket, the sorted union of its parts' keys.
-The table caches each row, keyed by the kernel's blanket getter and the
-blanket's values, the first time a kernel reads it: a Gibbs row is the integer (or float)
-weights, their total and the spike rates, an MH row every value's energy.
-The row is filled by the per-call arithmetic, so a cached draw is the draw
-that arithmetic gives. Adding a block or changing the temperature empties
-the cache; a conditional with no support raises and is never cached. A
-kernel whose blanket configurations times arity exceed CPT_MAX_ENTRIES
-caches nothing and computes every row on the call.
+Every Gibbs, MH and spike step reads its row through _cpt_row, and one
+function, _part_sums, adds the parts' energies that fill it: a Gibbs row is
+the integer (or float) weights, their total and the spike rates, an MH row
+every value's energy. The table caches each row, keyed by the kernel's
+blanket getter and the blanket's values, the first time a kernel reads it.
+Adding a block or changing the temperature empties the cache; a conditional
+with no support raises and is never cached. A kernel whose blanket
+configurations times arity exceed CPT_MAX_ENTRIES caches nothing: its row
+is computed on the call and not stored.
 
 An assembly's registers are one int64 vector in sorted-name order. Scalar
 kernels read a list snapshot of it; a wide color class of fixed-point Gibbs
@@ -236,7 +237,8 @@ def _blanket(parts):
 def _cpt_row(kernel, snapshot):
     """kernel.tabulate(snapshot), the kernel's conditional row for the
     snapshot's blanket values, cached on its table while the kernel is
-    within CPT_MAX_ENTRIES (kernel.blanket is None past it).
+    within CPT_MAX_ENTRIES; past it (kernel.blanket is None) the row is
+    computed on the call and not stored.
 
     tabulate raises NoSupportError for a conditional with no support, so
     such a row is never cached and every read raises again.
@@ -253,6 +255,34 @@ def _cpt_row(kernel, snapshot):
     except KeyError:
         row = cpt[key] = kernel.tabulate(snapshot)
         return row
+
+
+def _part_sums(kernel, snapshot, values) -> list:
+    """Each value's sum of the kernel's part rows for the snapshot, the parts
+    added in order: floats from 0.0 on the float path, else wide integers,
+    None marking a value that some part saturates (zero weight)."""
+    rows = kernel.table.rows
+    bases = [p.base_offset(snapshot) for p in kernel.parts]
+    if kernel.fmt is None:
+        sums = []
+        for v in values:
+            total = 0.0
+            for base in bases:
+                total += rows[base + v]
+            sums.append(total)
+        return sums
+    sat = kernel.fmt.max_raw
+    sums = []
+    for v in values:
+        total = 0
+        for base in bases:
+            b = rows[base + v]
+            if b == sat:
+                total = None
+                break
+            total += b
+        sums.append(total)
+    return sums
 
 
 def _rates(weights) -> list:
@@ -282,37 +312,20 @@ class GibbsKernel:
     def conditional_energies(self, snapshot):
         """Raw (fixed-point) or float energies of each candidate value.
 
-        Fixed-point sums run in a wide accumulator (the sentinel stays
-        sticky for zero weights), are renormalized to minimum zero, and
-        only then clamp back into the representable range; values still
+        Fixed-point sums run in a wide accumulator (a zero weight in any
+        part makes the value impossible), are renormalized to minimum zero,
+        and only then clamp back into the representable range; values still
         beyond range after renormalization saturate to "impossible".
         """
-        rows = self.table.rows
-        k = self.arity
+        sums = _part_sums(self, snapshot, range(self.arity))
         if self.fmt is None:
-            energies = [0.0] * k
-            for p in self.parts:
-                base = p.base_offset(snapshot)
-                for v in range(k):
-                    energies[v] += rows[base + v]
-            return energies
+            return sums
         sat = self.fmt.max_raw
-        sums = [0] * k
-        for p in self.parts:
-            base = p.base_offset(snapshot)
-            for v in range(k):
-                b = rows[base + v]
-                if b == sat or sums[v] == -1:
-                    sums[v] = -1  # marks a zero-weight (impossible) value
-                else:
-                    sums[v] += b
-        emin = None
-        for s in sums:
-            if s >= 0 and (emin is None or s < emin):
-                emin = s
-        if emin is None:
-            return [sat] * k
-        return [sat if s < 0 else min(s - emin, sat - 1) for s in sums]
+        live = [s for s in sums if s is not None]
+        if not live:
+            return [sat] * self.arity
+        low = min(live)
+        return [sat if s is None else min(s - low, sat - 1) for s in sums]
 
     def weights(self, snapshot) -> list:
         """The conditional's exact integer weights (float weights on the
@@ -325,7 +338,8 @@ class GibbsKernel:
         except NoSupportError:
             raise _no_support(self.var) from None
 
-    def _weights_and_total(self, snapshot) -> tuple:
+    def tabulate(self, snapshot) -> tuple:
+        """The conditional's CPT row: (weights, their total, spike rates)."""
         weights = self.weights(snapshot)
         if self.fmt is None:
             # left to right, as invert_cdf accumulates: the builtin sum of
@@ -333,19 +347,12 @@ class GibbsKernel:
             total = 0.0
             for w in weights:
                 total += w
-            return weights, total
-        return weights, sum(weights)
-
-    def tabulate(self, snapshot) -> tuple:
-        """The conditional's CPT row: (weights, their total, spike rates)."""
-        weights, total = self._weights_and_total(snapshot)
+        else:
+            total = sum(weights)
         return weights, total, _rates(weights)
 
     def step(self, current: int, snapshot, stream: EntropyStream) -> int:
-        if self.blanket is None:  # no row is cached: no rates either
-            weights, total = self._weights_and_total(snapshot)
-        else:
-            weights, total, _ = _cpt_row(self, snapshot)
+        weights, total, _ = _cpt_row(self, snapshot)
         if self.fmt is None:
             return invert_cdf(weights, stream.next_unit() * total)
         return invert_cdf(weights, stream.next_below(total))
@@ -381,24 +388,11 @@ class MhKernel:
 
     def _energy_of(self, value: int, snapshot):
         """Wide-accumulator energy sum; None marks a zero-weight value."""
-        rows = self.table.rows
-        if self.fmt is None:
-            total = 0.0
-            for p in self.parts:
-                total += rows[p.base_offset(snapshot) + value]
-            return total
-        sat = self.fmt.max_raw
-        total = 0
-        for p in self.parts:
-            b = rows[p.base_offset(snapshot) + value]
-            if b == sat:
-                return None
-            total += b
-        return total
+        return _part_sums(self, snapshot, (value,))[0]
 
     def tabulate(self, snapshot) -> list:
         """The conditional's CPT row: every value's _energy_of."""
-        return [self._energy_of(v, snapshot) for v in range(self.arity)]
+        return _part_sums(self, snapshot, range(self.arity))
 
     def step(self, current: int, snapshot, stream: EntropyStream) -> int:
         if self._proposal is None:
@@ -407,12 +401,8 @@ class MhKernel:
             proposed = invert_cdf(self._proposal[current], stream.next_unit())
         if proposed == current:
             return current
-        if self.blanket is None:  # no row is cached: two energies, not arity
-            e_cur = self._energy_of(current, snapshot)
-            e_new = self._energy_of(proposed, snapshot)
-        else:
-            row = _cpt_row(self, snapshot)
-            e_cur, e_new = row[current], row[proposed]
+        row = _cpt_row(self, snapshot)
+        e_cur, e_new = row[current], row[proposed]
         if self.fmt is None:
             if e_new == float("inf"):
                 return current
@@ -551,20 +541,16 @@ class Trace:
         idx = self.var_names.index(name)
         return [r[idx] for r in self.rows]
 
-    def _matrix(self) -> np.ndarray:
-        """The rows as one int64 array, one column per variable."""
-        return np.asarray(self.rows, np.int64).reshape(len(self.rows), len(self.var_names))
-
     def empirical_joint(self, arities) -> np.ndarray:
         arities = tuple(arities)
         flat = np.zeros(len(self.rows), np.int64)
-        for column, k in zip(self._matrix().T, arities):
-            flat = flat * k + column
+        for name, k in zip(self.var_names, arities):
+            flat = flat * k + np.asarray(self.column(name), np.int64)
         counts = np.bincount(flat, minlength=math.prod(arities)).reshape(arities)
         return counts / max(1, len(self.rows))
 
     def marginal(self, name: str, arity: int) -> np.ndarray:
-        column = self._matrix()[:, self.var_names.index(name)]
+        column = np.asarray(self.column(name), np.int64)  # int64 even with no rows
         return np.bincount(column, minlength=arity) / max(1, len(self.rows))
 
     def to_csv(self) -> str:

@@ -65,6 +65,13 @@ def chain_graph() -> FactorGraph:
 
 def conditional_by_enumeration(graph, var, context):
     """P(var | context) by brute-force summation over all joint states."""
+    probs = joint_weights_by_enumeration(graph, var, context)
+    return probs / probs.sum()
+
+
+def joint_weights_by_enumeration(graph, var, context):
+    """The unnormalized P(var = v, context) for every v, by brute-force
+    summation over all joint states; all zero when the context is impossible."""
     names = graph.var_names
     arities = [graph.arity[n] for n in names]
     idx = names.index(var)
@@ -76,7 +83,7 @@ def conditional_by_enumeration(graph, var, context):
         for f in graph.factors:
             w *= f.table[tuple(config[names.index(v)] for v in f.vars)]
         probs[config[idx]] += w
-    return probs / probs.sum()
+    return probs
 
 
 def joint_by_enumeration(graph, evidence=None):

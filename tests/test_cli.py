@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,3 +598,20 @@ def test_non_finite_dpmm_prior_exit_6(runner, tmp_path, model_file, args):
     output = _invoke_rejected(runner, tmp_path, model_file,
                               ["dpmm", "run", "{data}", "--sweeps", "2"] + args)
     assert "finite and positive" in output
+
+
+@pytest.mark.parametrize("mode", ["stereo", "motion"])
+def test_anneal_help_explains_off(runner, mode):
+    text = " ".join(runner.invoke(main, [mode, "--help"]).output.split())
+    assert "'off' to sample at T=1" in text
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter, importing the same package this test imports
+    src = str(Path(lowprec.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    probe = "import sys, stochcirc.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -7,7 +7,9 @@ directory is set to a temporary one, removed at exit, as this module is
 imported.
 """
 
+import math
 import tempfile
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    conditional_by_enumeration,
     dpmm_reference_chain,
     evidence_by_pixel,
     gibbs_energies_by_parts,
+    joint_weights_by_enumeration,
     mh_energy_by_parts,
     recomputing_twin,
 )
@@ -181,11 +185,11 @@ def test_compiled_lanes_match_the_scalar_path(case, seed):
 
 
 @st.composite
-def small_graphs(draw):
-    """Two to five variables of arities 1 to 3 under one to six unary, pair
-    or triple factors, where a factor may reuse an earlier table of its
+def small_graphs(draw, max_vars=5):
+    """Two to max_vars variables of arities 1 to 3 under one to six unary,
+    pair or triple factors, where a factor may reuse an earlier table of its
     shape, plus up to two clamps."""
-    arity = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    arity = draw(st.lists(st.integers(1, 3), min_size=2, max_size=max_vars))
     names = [f"v{i}" for i in range(len(arity))]
     entries = st.sampled_from([0.0, 1e-9, 0.05, 0.3, 1.0, 2.5])
     drawn = {}   # shape -> its tables so far
@@ -207,6 +211,50 @@ def small_graphs(draw):
     clamped = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
     clamps = {n: draw(st.integers(0, arity[names.index(n)] - 1)) for n in clamped}
     return FactorGraph([Variable(n, k) for n, k in zip(names, arity)], factors), clamps
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(case=small_graphs(max_vars=4), kernel=st.sampled_from(["gibbs", "mh"]),
+       fmt=st.sampled_from(FORMATS))
+def test_kernel_conditionals_are_bayes_rule(case, kernel, fmt):
+    """Every kernel's CPT row, at every configuration of the other variables,
+    against Bayes' rule over the enumerated joint states of the factors
+    touching its variable (the others are constant in it, so they cancel
+    wherever the configuration has positive probability). Float Gibbs
+    weights normalize to the conditional and float MH energy gaps are its
+    log2 odds; in every format a value has zero weight or an impossible
+    energy exactly where it has probability 0, and a Gibbs step on a
+    conditional with no possible value raises NoSupportError naming it."""
+    graph, _ = case
+    asm = compile_graph(graph, kernel=kernel, fmt=fmt, seed=0)
+    for i, var in enumerate(asm.names):
+        kern = asm.circuits[var].kernel
+        local = FactorGraph(graph.variables, graph.factors_touching(var))
+        others = [range(asm.circuits[n].arity) if n != var else [0] for n in asm.names]
+        for snapshot in product(*others):
+            snapshot = list(snapshot)
+            context = {n: v for n, v in zip(asm.names, snapshot) if n != var}
+            probs = joint_weights_by_enumeration(local, var, context)
+            zero = [p == 0.0 for p in probs]
+            if kernel == "mh":
+                energies = kern.tabulate(snapshot)
+                assert [e is None or e == math.inf for e in energies] == zero
+                if fmt is None:
+                    for u, v in product(range(kern.arity), repeat=2):
+                        if not (zero[u] or zero[v]):
+                            assert math.isclose(2.0 ** (energies[v] - energies[u]),
+                                                probs[u] / probs[v], rel_tol=1e-12)
+            elif probs.sum() == 0.0:   # checked before the oracle divides by it
+                with pytest.raises(NoSupportError) as err:
+                    kern.step(snapshot[i], snapshot, EntropyStream(1))
+                assert err.value.variable == var
+            else:
+                weights, total, _ = kern.tabulate(snapshot)
+                assert [w == 0 for w in weights] == zero
+                if fmt is None:
+                    expected = conditional_by_enumeration(local, var, context)
+                    assert np.allclose(np.divide(weights, total), expected,
+                                       rtol=0.0, atol=1e-12)
 
 
 @settings(DETERMINISTIC, max_examples=100)
