@@ -19,3 +19,9 @@ def fixture_path(name: str):
 
 def fixture_text(name: str) -> str:
     return fixture_path(name).read_text(encoding="utf-8")
+
+
+def csv_text(header: str, rows) -> str:
+    """A CSV artifact: the header line, then one line per row of fields, each
+    as str() writes it, comma-separated; LF line endings and a trailing LF."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"

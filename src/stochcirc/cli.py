@@ -35,7 +35,7 @@ import sys
 import click
 import numpy as np
 
-from . import __version__, fixture_text
+from . import __version__, csv_text, fixture_text
 from .compiler import (
     color_interaction_graph,
     compile as compile_graph,
@@ -149,7 +149,9 @@ def _parse_format(text: str | None):
 
 
 def _write(path, content):
-    """Text as UTF-8, an array as PGM; echoes the path."""
+    """Text as UTF-8, a dict as sorted JSON indented by two, an array as PGM; echoes the path."""
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
     if isinstance(content, str):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)
@@ -174,7 +176,7 @@ def _emit(ctx, files, params):
     doc = {"command": command, "seed": ctx.obj["seed"], "version": __version__,
            "params": params}
     meta_name = command.replace(" ", "_").replace("-", "_")
-    _write(out / f"{meta_name}_meta.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(out / f"{meta_name}_meta.json", doc)
 
 
 def _load_graph(model, evidence):
@@ -243,10 +245,8 @@ def gate_sample(ctx, cpt_path, input_word, draws):
     counts = np.zeros(1 << g.n, dtype=np.int64)
     for _ in range(draws):
         counts[g.sample(input_word, stream)] += 1
-    lines = ["value,count,frequency"]
-    for v, c in enumerate(counts):
-        lines.append(f"{v},{int(c)},{float(c / draws)!r}")
-    _emit(ctx, [("gate_sample.csv", "\n".join(lines) + "\n")],
+    rows = ((v, c, c / draws) for v, c in enumerate(counts.tolist()))
+    _emit(ctx, [("gate_sample.csv", csv_text("value,count,frequency", rows))],
           {"cpt": str(cpt_path), "input": input_word, "n": draws})
 
 
@@ -296,7 +296,7 @@ def compile_cmd(ctx, model, kernel, evidence):
         "kernel": kernel,
         "format": assembly.meta["format"],
     }
-    _emit(ctx, [("assembly.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")],
+    _emit(ctx, [("assembly.json", doc)],
           {"model": str(model), "schedule": ctx.obj["schedule"], "kernel": kernel})
 
 
@@ -347,48 +347,38 @@ def fault_report_cmd(ctx, model, rates, sweeps):
           {"model": str(model), "rates": rate_list, "sweeps": sweeps})
 
 
-def _matching_run(ctx, mode, first_path, second_path, d, sweeps, lam, tau, anneal):
-    pair = ImagePair(read_pgm(first_path), read_pgm(second_path))
-    y = evidence_from_images(pair, d, mode=mode)
-    m = LatticeMRF(pair.first.shape[0], pair.first.shape[1], d, y, lam=lam, tau=tau)
-    anneal_pair = None if anneal == "off" else tuple(_number(t, float, "--anneal")
-                                                  for t in anneal.split(","))
-    result = solve(m, sweeps, seed=ctx.obj["seed"], fmt=ctx.obj["fmt"],
-                   anneal=anneal_pair, schedule=ctx.obj["schedule"])
-    _emit(ctx, [(f"{mode}_labels.pgm", labels_to_gray(result.labels, d)),
-                (f"{mode}_energy.csv", result.energy_csv())],
-          {"first": str(first_path), "second": str(second_path),
-           "candidates": d, **result.meta})
+def _matching_command(mode, first, second, candidates, help):
+    """Register the stereo or motion subcommand, a lattice MRF on two PGM images."""
+
+    @main.command(mode, help=help)
+    @click.argument(first, type=click.Path(exists=True))
+    @click.argument(second, type=click.Path(exists=True))
+    @click.option("-d", "--candidates", "d", type=int, default=candidates, show_default=True)
+    @click.option("--sweeps", type=int, default=200, show_default=True)
+    @click.option("--lam", type=float, default=1.0, show_default=True)
+    @click.option("--tau", type=float, default=2.0, show_default=True)
+    @click.option("--anneal", default="2.0,0.1", show_default=True,
+                  help="T_start,T_end geometric ladder, or 'off' to sample at T=1.")
+    @click.pass_context
+    def command(ctx, d, sweeps, lam, tau, anneal, **images):
+        first_path, second_path = images[first], images[second]
+        pair = ImagePair(read_pgm(first_path), read_pgm(second_path))
+        y = evidence_from_images(pair, d, mode=mode)
+        m = LatticeMRF(pair.first.shape[0], pair.first.shape[1], d, y, lam=lam, tau=tau)
+        anneal_pair = None if anneal == "off" else tuple(_number(t, float, "--anneal")
+                                                      for t in anneal.split(","))
+        result = solve(m, sweeps, seed=ctx.obj["seed"], fmt=ctx.obj["fmt"],
+                       anneal=anneal_pair, schedule=ctx.obj["schedule"])
+        _emit(ctx, [(f"{mode}_labels.pgm", labels_to_gray(result.labels, d)),
+                    (f"{mode}_energy.csv", result.energy_csv())],
+              {"first": str(first_path), "second": str(second_path),
+               "candidates": d, **result.meta})
 
 
-@main.command("stereo")
-@click.argument("left", type=click.Path(exists=True))
-@click.argument("right", type=click.Path(exists=True))
-@click.option("-d", "--candidates", type=int, default=8, show_default=True)
-@click.option("--sweeps", type=int, default=200, show_default=True)
-@click.option("--lam", type=float, default=1.0, show_default=True)
-@click.option("--tau", type=float, default=2.0, show_default=True)
-@click.option("--anneal", default="2.0,0.1", show_default=True,
-              help="T_start,T_end geometric ladder, or 'off' to sample at T=1.")
-@click.pass_context
-def stereo_cmd(ctx, left, right, candidates, sweeps, lam, tau, anneal):
-    """Disparity map for a rectified image pair (PGM in, PGM out)."""
-    _matching_run(ctx, "stereo", left, right, candidates, sweeps, lam, tau, anneal)
-
-
-@main.command("motion")
-@click.argument("first", type=click.Path(exists=True))
-@click.argument("second", type=click.Path(exists=True))
-@click.option("-d", "--candidates", type=int, default=9, show_default=True)
-@click.option("--sweeps", type=int, default=200, show_default=True)
-@click.option("--lam", type=float, default=1.0, show_default=True)
-@click.option("--tau", type=float, default=2.0, show_default=True)
-@click.option("--anneal", default="2.0,0.1", show_default=True,
-              help="T_start,T_end geometric ladder, or 'off' to sample at T=1.")
-@click.pass_context
-def motion_cmd(ctx, first, second, candidates, sweeps, lam, tau, anneal):
-    """Motion labels between two frames (candidate offsets in ring order)."""
-    _matching_run(ctx, "motion", first, second, candidates, sweeps, lam, tau, anneal)
+_matching_command("stereo", "left", "right", 8,
+                  "Disparity map for a rectified image pair (PGM in, PGM out).")
+_matching_command("motion", "first", "second", 9,
+                  "Motion labels between two frames (candidate offsets in ring order).")
 
 
 @main.group()
@@ -443,15 +433,15 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
     state = DpmmState(rows.shape[1], alpha=alpha, beta_on=beta_on,
                       beta_off=beta_off)
     count_hist = {}
-    assign_lines = ["sweep," + ",".join(f"d{i}" for i in range(rows.shape[0]))]
+    assignments = []
     chain = gibbs_chain(state, rows, sweeps, burn_in, EntropyStream(ctx.obj["seed"]), fmt)
     for sweep, _ in enumerate(chain):
         k = len(state.clusters)
         count_hist[k] = count_hist.get(k, 0) + 1
-        assign_lines.append(f"{sweep}," + ",".join(str(a) for a in state.assignments))
-    hist_lines = ["clusters,count"] + [f"{k},{count_hist[k]}" for k in sorted(count_hist)]
-    files = [("assignments.csv", "\n".join(assign_lines) + "\n"),
-             ("cluster_counts.csv", "\n".join(hist_lines) + "\n")]
+        assignments.append((sweep, *state.assignments))
+    header = "sweep," + ",".join(f"d{i}" for i in range(rows.shape[0]))
+    files = [("assignments.csv", csv_text(header, assignments)),
+             ("cluster_counts.csv", csv_text("clusters,count", sorted(count_hist.items())))]
     for rank, (count, probs) in enumerate(cluster_summaries(state)):
         img = np.clip(np.round(probs.reshape(shape) * 255), 0, 255)
         files.append((f"cluster_{rank:02d}_n{count}.pgm", img))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import csv_text
 from .entropy import EntropyStream
 from .errors import ConfigError, UnknownVariableError
 from .factorgraph import FactorGraph, enumerate_joint, marginal
@@ -127,12 +128,12 @@ def query(assembly: TransitionAssembly, query_vars, sweeps: int,
 
 
 def marginals_to_csv(estimates) -> str:
-    lines = ["variable,value,probability,stderr"]
+    rows = []
     for name in sorted(estimates):
         probs, stderr = estimates[name]
-        for value, (p, s) in enumerate(zip(probs, stderr)):
-            lines.append(f"{name},{value},{float(p)!r},{float(s)!r}")
-    return "\n".join(lines) + "\n"
+        rows.extend((name, value, float(p), float(s))
+                    for value, (p, s) in enumerate(zip(probs, stderr)))
+    return csv_text("variable,value,probability,stderr", rows)
 
 
 def fault_kl_report(graph: FactorGraph, rates=(0.0, 1e-4, 1e-3, 1e-2),
@@ -158,7 +159,4 @@ def fault_kl_report(graph: FactorGraph, rates=(0.0, 1e-4, 1e-3, 1e-2),
 
 
 def fault_report_to_csv(rows) -> str:
-    lines = ["fault_rate,kl_bits"]
-    for rate, kl in rows:
-        lines.append(f"{rate!r},{kl!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text("fault_rate,kl_bits", rows)

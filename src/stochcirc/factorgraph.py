@@ -133,7 +133,10 @@ class FactorGraph:
 
 def parse(text: str) -> FactorGraph:
     """Parse the JSON schema; raises a distinct error kind per defect."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise GraphError("model JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise GraphError("top level must be a JSON object")
     try:
@@ -141,15 +144,17 @@ def parse(text: str) -> FactorGraph:
         factor_docs = doc["factors"]
     except KeyError as exc:
         raise GraphError(f"missing required field {exc.args[0]!r}") from None
+    if not isinstance(var_docs, list) or not isinstance(factor_docs, list):
+        raise GraphError("variables and factors must be arrays")
     variables = []
     for vd in var_docs:
         try:
-            name, arity = str(vd["name"]), int(vd["arity"])
-        except (KeyError, TypeError, ValueError):
+            name, arity = str(vd["name"]), vd["arity"]
+        except (KeyError, TypeError):
             raise GraphError(
                 f"variable entry {vd!r} needs a name and an integer arity") from None
-        if arity < 1:
-            raise GraphError(f"variable {name!r} has arity {arity}")
+        if type(arity) is not int or arity < 1:  # not a float, a string or a bool
+            raise GraphError(f"variable {name!r}: arity must be a positive integer, got {arity!r}")
         variables.append(Variable(name, arity))
     arity = {v.name: v.arity for v in variables}
     if len(arity) != len(variables):
@@ -157,9 +162,12 @@ def parse(text: str) -> FactorGraph:
     factors = []
     for fd in factor_docs:
         try:
-            fname, fvars, table = str(fd["name"]), [str(v) for v in fd["vars"]], fd["table"]
+            fname, fvars, table = str(fd["name"]), fd["vars"], fd["table"]
         except (KeyError, TypeError):
             raise GraphError(f"factor entry {fd!r} needs a name, vars and a table") from None
+        if not isinstance(fvars, list):
+            raise GraphError(f"factor {fname!r}: vars must be an array of names")
+        fvars = [str(v) for v in fvars]
         for vn in fvars:
             if vn not in arity:
                 raise UnknownVariableError(

@@ -34,12 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import csv_text
 from .compiler import compile as compile_graph
 from .entropy import fork_states
 from .errors import ConfigError, NoSupportError, ShapeError
 from .factorgraph import Factor, FactorGraph, Variable
-from .lowprec import DEFAULT_FORMAT, EnergyFormat
-from .transition import _energy_rows, _EnergyTable, _lane_weights_fit, _LaneGroup, run
+from .lowprec import DEFAULT_FORMAT, EnergyFormat, weight_bits
+from .transition import LANE_WEIGHT_BITS, _energy_rows, _EnergyTable, _LaneGroup, run
 
 EVIDENCE_CAP = 32.0       # gray levels; bounds energies for fixed point
 EVIDENCE_SCALE = 8.0      # gray levels per bit of energy
@@ -195,10 +196,7 @@ class SolveResult:
     meta: dict = field(default_factory=dict)
 
     def energy_csv(self) -> str:
-        lines = ["sweep,energy"]
-        for s, e in enumerate(self.energy_trace):
-            lines.append(f"{s},{e!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("sweep,energy", enumerate(self.energy_trace))
 
 
 class _Compiled:
@@ -318,7 +316,8 @@ def _solve(mrf: LatticeMRF, sweeps: int, seed: int, fmt: EnergyFormat | None,
     """solve(), plus the sampler that ran it; its streams() gives every
     site's final (stream word, draws consumed) in row-major order."""
     ladder = _ladder(sweeps, anneal, anneal_rungs)
-    if schedule == "parallel" and fmt is not None and _lane_weights_fit(fmt, mrf.labels):
+    if (schedule == "parallel" and fmt is not None
+            and weight_bits(fmt, mrf.labels) <= LANE_WEIGHT_BITS):
         sampler = _Checkerboard(mrf, mrf.smoothness_table(), fmt, seed)
     else:
         sampler = _Compiled(mrf, fmt, seed, schedule)

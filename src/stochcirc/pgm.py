@@ -27,6 +27,8 @@ def read_pgm(path) -> np.ndarray:
             i += 1
         tokens.append(data[start:i])
     i += 1  # single whitespace after maxval
+    if not all(t.isdigit() for t in tokens):  # a field missing, signed or not a number
+        raise ConfigError(f"{path}: malformed PGM header {b' '.join(tokens)!r}")
     width, height, maxval = (int(t) for t in tokens)
     if maxval > 255:
         raise ConfigError(f"{path}: only 8-bit PGM supported, maxval={maxval}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import csv_text
 from .entropy import EntropyStream
 from .errors import ConfigError
 from .lowprec import EnergyVector
@@ -62,10 +63,7 @@ class SpikeRaster:
     transitions: list[tuple[int, float, str, int]] = field(default_factory=list)
 
     def events_csv(self) -> str:
-        lines = ["time,variable,unit"]
-        for _epoch, t, var, unit in self.events:
-            lines.append(f"{t!r},{var},{unit}")
-        return "\n".join(lines) + "\n"
+        return csv_text("time,variable,unit", (event[1:] for event in self.events))
 
 
 def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,

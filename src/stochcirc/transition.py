@@ -25,8 +25,8 @@ function, _part_sums, adds the parts' energies that fill it: a Gibbs row is
 the integer (or float) weights, their total and the spike rates, an MH row
 every value's energy. The table caches each row, keyed by the kernel's
 blanket getter and the blanket's values, the first time a kernel reads it.
-Adding a block or changing the temperature empties the cache; a conditional
-with no support raises and is never cached. A kernel whose blanket
+Adding a block or changing the temperature empties the cache; a Gibbs
+conditional with no support raises and is never cached. A kernel whose blanket
 configurations times arity exceed CPT_MAX_ENTRIES caches nothing: its row
 is computed on the call and not stored.
 
@@ -36,8 +36,9 @@ circuits runs as lanes on it: a _LaneGroup of index arrays into their table
 and into the vector, with one uint64 xorshift word per circuit, whose one
 step updates every lane at once, bit-identical to updating the circuits one
 at a time; its arrays are candidate-major, lanes last. _lower lowers wide
-groups once per assembly; each run binds their live members by slicing the
-lane axis. mrf lowers a lattice to two such groups on a table of its own.
+groups once per assembly, when lowprec.weight_bits says their weights fit
+int64; each run binds their live members by slicing the lane axis. mrf
+lowers a lattice to two such groups on a table of its own.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import csv_text
 from .entropy import EntropyStream
 from .errors import (
     ConfigError,
@@ -60,13 +62,13 @@ from .errors import (
 )
 from .factorgraph import Factor
 from .lowprec import (
-    MULTIPLIER_BITS,
     EnergyFormat,
     _multiplier_table,
     check_weight_width,
     float_weights,
     integer_weights,
     invert_cdf,
+    weight_bits,
 )
 
 #: A group runs as lanes only from this many live circuits; narrower groups
@@ -77,7 +79,7 @@ LANE_MIN_WIDTH = 16
 #: lattice site (8^4 x 8 = 32,768) computes each row per call instead, so a
 #: long run on a large lattice cannot grow the cache without limit.
 CPT_MAX_ENTRIES = 4096
-#: Lane weights are int64: Qmax + MULTIPLIER_BITS + ceil(log2 K) must fit.
+#: Lane weights and their running CDF are int64: weight_bits(fmt, K) must not exceed this.
 LANE_WEIGHT_BITS = 62
 _POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))  # 2^0 .. 2^62
 
@@ -240,8 +242,8 @@ def _cpt_row(kernel, snapshot):
     within CPT_MAX_ENTRIES; past it (kernel.blanket is None) the row is
     computed on the call and not stored.
 
-    tabulate raises NoSupportError for a conditional with no support, so
-    such a row is never cached and every read raises again.
+    A Gibbs tabulate raises NoSupportError for a conditional with no
+    support, so such a row is never cached and every read raises again.
     """
     blanket = kernel.blanket
     if blanket is None:
@@ -362,7 +364,9 @@ class MhKernel:
     """Metropolis-Hastings kernel with a symmetric proposal (uniform default).
 
     Acceptance is computed in the energy domain: accept v' over v with
-    probability min(1, 2^(e(v) - e(v'))).
+    probability min(1, 2^(e(v) - e(v'))). A step that proposes a move
+    between two impossible values of a conditional with no support raises
+    NoSupportError, as a Gibbs step does.
     """
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
@@ -405,12 +409,16 @@ class MhKernel:
         e_cur, e_new = row[current], row[proposed]
         if self.fmt is None:
             if e_new == float("inf"):
+                if e_cur == e_new and min(row) == e_new:
+                    raise _no_support(self.var)
                 return current
             if e_cur == float("inf"):
                 return proposed
             diff = e_cur - e_new
         else:
             if e_new is None:
+                if e_cur is None and row.count(None) == self.arity:
+                    raise _no_support(self.var)
                 return current
             if e_cur is None:
                 return proposed
@@ -554,10 +562,7 @@ class Trace:
         return np.bincount(column, minlength=arity) / max(1, len(self.rows))
 
     def to_csv(self) -> str:
-        lines = [",".join(self.var_names)]
-        for row in self.rows:
-            lines.append(",".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return csv_text(",".join(self.var_names), self.rows)
 
 
 def _apply_fault(value: int, circuit: TransitionCircuit, rate: float) -> int:
@@ -575,12 +580,6 @@ def _bit_length(v: np.ndarray) -> np.ndarray:
     """int.bit_length of every nonnegative int64 entry: how many powers of
     two are at or below it."""
     return np.searchsorted(_POW2, v, side="right")
-
-
-def _lane_weights_fit(fmt: EnergyFormat, arity: int) -> bool:
-    """Whether the integer weights of arity candidates fit LANE_WEIGHT_BITS."""
-    return ((fmt.max_raw >> fmt.frac) + MULTIPLIER_BITS + (arity - 1).bit_length()
-            <= LANE_WEIGHT_BITS)
 
 
 def _lane_below(bound: np.ndarray, lanes: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -686,12 +685,13 @@ def _lower(assembly: TransitionAssembly) -> dict:
     can take; built once per assembly.
 
     A group qualifies when it has at least LANE_MIN_WIDTH circuits, all
-    Gibbs kernels on one fixed-point table whose integer weights fit
-    LANE_WEIGHT_BITS, and no name appears twice in the schedule. sites are
-    the members' registers, and arrays their nbr, stride, offset and pad as
-    _LaneGroup takes them, nbr holding register indices and offset table
-    offsets. Padding parts read a zero block as wide as the group's widest
-    arity, which the lowering adds to the end of the table.
+    Gibbs kernels on one fixed-point table, when weight_bits(fmt, K) for its
+    widest arity K is at most LANE_WEIGHT_BITS, and when no name appears
+    twice in the schedule. sites are the members' registers, and arrays
+    their nbr, stride, offset and pad as _LaneGroup takes them, nbr holding
+    register indices and offset table offsets. Padding parts read a zero
+    block as wide as the group's widest arity, which the lowering adds to
+    the end of the table.
     """
     names = [n for group in assembly.schedule for n in group]
     if len(set(names)) != len(names):
@@ -703,7 +703,7 @@ def _lower(assembly: TransitionAssembly) -> dict:
         kernels = [assembly.circuits[n].kernel for n in group]
         table = kernels[0].table
         k = max(kern.arity for kern in kernels)
-        if table.fmt is None or not _lane_weights_fit(table.fmt, k) or any(
+        if table.fmt is None or weight_bits(table.fmt, k) > LANE_WEIGHT_BITS or any(
                 type(kern) is not GibbsKernel or kern.table is not table for kern in kernels):
             continue
         n_parts = max(1, max(len(kern.parts) for kern in kernels))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import NoWideMultiplierTables, fork_graph, joint_by_enumeration
-from stochcirc import fixture_text, lowprec
+from stochcirc import csv_text, fixture_text, lowprec
 from stochcirc.cli import main
 from stochcirc.lowprec import total_variation
 from stochcirc.mrf import random_dot_stereogram
@@ -615,3 +616,26 @@ def test_importing_the_cli_loads_no_scipy():
                             env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("header", [b"P5\nabc 3\n255\n", b"P5\n4", b"P5\n4 -3\n255\n",
+                                    b"P5\n4 3 # no maxval"])
+def test_malformed_pgm_header_exits_6(runner, tmp_path, model_file, header):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(header + bytes(12))
+    output = _invoke_rejected(runner, tmp_path, model_file,
+                              ["stereo", str(bad), "{right}", "--sweeps", "2"])
+    assert "malformed PGM header" in output
+
+
+def test_csv_text_with_no_rows_is_the_header_line():
+    assert csv_text("a,b", []) == "a,b\n"
+
+
+@pytest.mark.parametrize("value", [0.1, 1e-05, 1e16, -0.0, math.inf])
+def test_csv_text_writes_floats_as_repr_and_they_read_back(value):
+    text = csv_text("name,x", [("v", value), ("w", 3)])
+    assert text == f"name,x\nv,{value!r}\nw,3\n"
+    field = text.split("\n")[1].split(",")[1]
+    assert float(field) == value and math.copysign(1, float(field)) == math.copysign(1, value)
+    assert "\r" not in text

@@ -227,6 +227,36 @@ def test_integer_evidence_is_stored_as_python_int(value):
     assert g.evidence == {"C": 1} and type(g.evidence["C"]) is int
 
 
+def test_deeply_nested_json_is_a_graph_error():
+    with pytest.raises(GraphError, match="nests too deeply"):
+        parse("[" * 100_000)
+
+
+@pytest.mark.parametrize("arity", [2.5, "2", True, 2.0, 0])
+def test_arity_must_be_a_positive_json_integer(arity):
+    doc = {"variables": [{"name": "X", "arity": arity}],
+           "factors": [{"name": "u", "vars": ["X"], "table": [1, 3]}]}
+    with pytest.raises(GraphError, match="arity must be a positive integer"):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,value", [("variables", 5), ("factors", 3),
+                                         ("variables", None), ("factors", {})])
+def test_variables_and_factors_must_be_arrays(field, value):
+    doc = json.loads(fixture_text("three_var_fork.json"))
+    doc[field] = value
+    with pytest.raises(GraphError, match="must be arrays"):
+        parse(json.dumps(doc))
+
+
+def test_factor_vars_must_be_an_array_not_a_string():
+    # iterated, "AB" would put a factor meant for AB on A and B
+    doc = {"variables": [{"name": n, "arity": 2} for n in ("A", "B", "AB")],
+           "factors": [{"name": "f", "vars": "AB", "table": [1, 2, 3, 4]}]}
+    with pytest.raises(GraphError, match="vars must be an array"):
+        parse(json.dumps(doc))
+
+
 @pytest.mark.parametrize("value", [1.5, 1.0, "1", True, np.float64(1.0), None])
 def test_non_integer_evidence_is_a_graph_error(value):
     with pytest.raises(GraphError, match="must be an integer"):

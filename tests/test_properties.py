@@ -7,6 +7,7 @@ directory is set to a temporary one, removed at exit, as this module is
 imported.
 """
 
+import json
 import math
 import tempfile
 from itertools import product
@@ -26,12 +27,18 @@ from oracles import (
     mh_energy_by_parts,
     recomputing_twin,
 )
-from stochcirc import dpmm
+from stochcirc import dpmm, fixture_text
 from stochcirc.compiler import compile as compile_graph
 from stochcirc.entropy import EntropyStream
-from stochcirc.errors import NoSupportError
-from stochcirc.factorgraph import Factor, FactorGraph, Variable
-from stochcirc.lowprec import MULTIPLIER_BITS, EnergyFormat, float_weights, integer_weights
+from stochcirc.errors import NoSupportError, StochcircError
+from stochcirc.factorgraph import Factor, FactorGraph, Variable, parse
+from stochcirc.lowprec import (
+    MULTIPLIER_BITS,
+    EnergyFormat,
+    float_weights,
+    integer_weights,
+    weight_bits,
+)
 from stochcirc.mrf import (
     EVIDENCE_CAP,
     EVIDENCE_SCALE,
@@ -117,6 +124,18 @@ def test_kernel_weights_are_the_conditionals_weights(data):
     # the spike race scales by the largest weight, the minimum-energy value's
     assert max(got) == (1.0 if fmt is None
                         else 1 << ((fmt.max_raw >> fmt.frac) + MULTIPLIER_BITS))
+
+
+@pytest.mark.parametrize("fmt", [f for f in FORMATS if f is not None]
+                         + [EnergyFormat(12, 1)], ids=str)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 16])
+def test_weight_bits_bounds_the_total_of_k_weights(fmt, k):
+    # no weight exceeds the minimum-energy value's, so k equal energies
+    # weigh the most in total
+    total = sum(integer_weights([0] * k, fmt))
+    assert total <= 2 ** weight_bits(fmt, k)
+    if k & (k - 1) == 0:
+        assert total == 2 ** weight_bits(fmt, k)
 
 
 @st.composite
@@ -401,3 +420,47 @@ def test_dpmm_cached_rows_match_the_per_cluster_energies_at_784_pixels():
     data = protos[rng.integers(0, 2, size=6)] ^ (rng.random((6, 784)) < 0.05)
     _cached_and_reference_dpmm_chains(list(data.astype(np.int8)), EnergyFormat(16, 8),
                                       alpha=0.7, beta_on=0.3, beta_off=1.9, seed=28)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+def _json_paths(node, path=()):
+    """The path of every value under node, as keys and indices from it."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(name=st.sampled_from(["three_var_fork.json", "chain3.json", "icu_monitor.json"]),
+       data=st.data())
+def test_malformed_model_documents_raise_only_library_errors(name, data):
+    """A bundled model with up to three fields dropped, retyped or nested
+    parses or raises a StochcircError (or a JSONDecodeError), nothing else."""
+    doc = json.loads(fixture_text(name))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        *head, last = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["drop", "retype", "nest"]))
+        if action == "drop":
+            del parent[last]
+        elif action == "retype":
+            parent[last] = data.draw(JSON_VALUES)
+        else:
+            parent[last] = data.draw(st.sampled_from([[parent[last]], {"x": parent[last]}]))
+    try:
+        parse(json.dumps(doc))
+    except (StochcircError, json.JSONDecodeError):
+        pass

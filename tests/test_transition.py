@@ -108,6 +108,20 @@ def test_zero_support_conditional_reports_variable():
     assert err.value.variable == "X"
 
 
+@pytest.mark.parametrize("fmt", [DEFAULT_FORMAT, None], ids=["8,4", "float"])
+def test_mh_step_on_a_conditional_with_no_support_raises(fmt):
+    # B is impossible at A = 1 whatever its value, so a proposed move between
+    # B's two values raises, as a Gibbs step does
+    kernel = MhKernel("B", 2, [Factor("f", ["A", "B"], [1, 2, 0, 0], [2, 2])], fmt)
+    stream = EntropyStream(0)
+    with pytest.raises(NoSupportError) as err:
+        for _ in range(5):
+            kernel.step(0, {"A": 1}, stream)
+    assert err.value.variable == "B"
+    assert kernel.tabulate({"A": 1}) == ([None, None] if fmt else [math.inf, math.inf])
+    assert kernel.step(1, {"A": 0}, EntropyStream(0)) in (0, 1)
+
+
 @pytest.mark.parametrize("bits,frac", [(32, 0), (16, 0), (12, 0)])
 def test_gibbs_kernel_refuses_weights_past_the_bound(bits, frac):
     fmt = EnergyFormat(bits, frac)
