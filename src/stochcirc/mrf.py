@@ -85,7 +85,7 @@ def evidence_from_images(pair: ImagePair, d: int, mode: str = "stereo",
     (i + dy, j + dx) of the second for its offset (dy, dx): stereo
     disparity k is the offset (0, -k), and motion candidates are 2-D
     offsets in ring order. Out-of-bounds candidates cost c_max (border
-    rule).
+    rule), so an offset past the image edge costs c_max at every site.
     """
     if d < 1:
         raise ConfigError(f"need at least one candidate, got {d}")
@@ -102,10 +102,10 @@ def evidence_from_images(pair: ImagePair, d: int, mode: str = "stereo",
     right = pair.second.astype(float)
     y = np.full((h, w, d), c_max)
     for k, (dy, dx) in enumerate(offsets):
-        ys = slice(max(0, -dy), min(h, h - dy))
-        xs = slice(max(0, -dx), min(w, w - dx))
-        ys2 = slice(max(0, dy), min(h, h + dy))
-        xs2 = slice(max(0, dx), min(w, w + dx))
+        ys = slice(max(0, -dy), max(0, min(h, h - dy)))
+        xs = slice(max(0, -dx), max(0, min(w, w - dx)))
+        ys2 = slice(max(0, dy), max(0, min(h, h + dy)))
+        xs2 = slice(max(0, dx), max(0, min(w, w + dx)))
         diff = np.abs(left[ys, xs] - right[ys2, xs2])
         y[ys, xs, k] = np.minimum(diff, c_max)
     return y / scale
@@ -350,10 +350,12 @@ def solve(mrf: LatticeMRF, sweeps: int, seed: int = 0,
 
 
 def labels_to_gray(labels: np.ndarray, d: int) -> np.ndarray:
-    """Scale a label grid to 8-bit gray for PGM output."""
+    """Scale a label grid to 8-bit gray for PGM output: label k is
+    k * (255 // (d - 1)), or k * 255 // (d - 1) past 256 labels."""
     if d <= 1:
         return np.zeros_like(labels, dtype=np.uint8)
-    return (labels * (255 // (d - 1))).astype(np.uint8)
+    step = 255 // (d - 1)
+    return (labels * step if step else labels * 255 // (d - 1)).astype(np.uint8)
 
 
 def random_dot_stereogram(height: int, width: int, shift: int,

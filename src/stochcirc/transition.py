@@ -18,17 +18,17 @@ axis) block once and quantizes them all at one temperature. compile builds
 one table per assembly, so its kernels anneal together; a kernel built
 alone gets its own.
 
-A scalar kernel draws from its conditional probability table: one row per
-configuration of its Markov blanket, the sorted union of its parts' keys.
-Every Gibbs, MH and spike step reads its row through _cpt_row, and one
-function, _part_sums, adds the parts' energies that fill it: a Gibbs row is
-the integer (or float) weights, their total and the spike rates, an MH row
-every value's energy. The table caches each row, keyed by the kernel's
-blanket getter and the blanket's values, the first time a kernel reads it.
+A scalar kernel, built by _Kernel, draws from its conditional probability
+table: one row per configuration of its Markov blanket, the sorted union of
+its parts' keys. Every Gibbs, MH and spike step reads its row through
+_cpt_row, and _part_sums adds the parts' energies that fill it, in one loop
+for both formats: a Gibbs row is the weights, their total and the spike
+rates, an MH row every value's energy. The table caches each row, keyed by
+the kernel's blanket getter and the blanket's values, on its first read.
 Adding a block or changing the temperature empties the cache; a Gibbs
-conditional with no support raises and is never cached. A kernel whose blanket
-configurations times arity exceed CPT_MAX_ENTRIES caches nothing: its row
-is computed on the call and not stored.
+conditional with no support raises and is never cached. A kernel whose
+blanket configurations times arity exceed CPT_MAX_ENTRIES caches nothing:
+its row is computed on the call and not stored.
 
 An assembly's registers are one int64 vector in sorted-name order. Scalar
 kernels read a list snapshot of it; a wide color class of fixed-point Gibbs
@@ -112,10 +112,11 @@ def _quantize_rows(float_rows: np.ndarray, fmt: EnergyFormat,
 
     The sentinel is reserved for true zero weights; finite energies clamp to
     the largest representable value so cooling never manufactures
-    impossible states.
+    impossible states, even where energy / T overflows.
     """
-    raw = np.rint(float_rows / temperature * (1 << fmt.frac))
-    raw = np.where(np.isfinite(raw), np.minimum(raw, fmt.max_raw - 1), fmt.max_raw)
+    with np.errstate(over="ignore"):
+        raw = np.rint(float_rows / temperature * (1 << fmt.frac))
+    raw = np.where(np.isfinite(float_rows), np.minimum(raw, fmt.max_raw - 1), fmt.max_raw)
     return raw.astype(np.int64)
 
 
@@ -211,24 +212,6 @@ class _FactorPart:
         return base
 
 
-def _kernel_parts(var: str, arity: int, factors, fmt, table):
-    """A kernel's table, a private one when table is None, its factor parts
-    and its blanket getter; the table's format, the arity and every part's
-    arity are checked."""
-    if arity < 1:
-        raise ConfigError(f"variable {var!r} has arity {arity}")
-    table = _EnergyTable(fmt) if table is None else table
-    if table.fmt != fmt:
-        raise ConfigError(f"kernel of {var!r} has another format than its table")
-    parts = [_FactorPart(f, var, table) for f in factors]
-    for p in parts:
-        if p.arity != arity:
-            raise ConfigError(f"factor table arity mismatch on {var!r}")
-    sizes = {v: k for f in factors for v, k in zip(f.vars, f.table.shape) if v != var}
-    cached = math.prod(sizes.values()) * arity <= CPT_MAX_ENTRIES
-    return table, parts, _blanket(parts) if cached else None
-
-
 def _blanket(parts):
     """A new getter of the blanket's values, the sorted union of the parts'
     keys, from a snapshot; re-derived whenever the keys are rebound."""
@@ -259,28 +242,20 @@ def _cpt_row(kernel, snapshot):
         return row
 
 
-def _part_sums(kernel, snapshot, values) -> list:
+def _part_sums(kernel, snapshot) -> list:
     """Each value's sum of the kernel's part rows for the snapshot, the parts
-    added in order: floats from 0.0 on the float path, else wide integers,
-    None marking a value that some part saturates (zero weight)."""
+    added in order: wide integers, or floats on the float path, and
+    kernel.impossible for a value that some part saturates (zero weight)."""
     rows = kernel.table.rows
     bases = [p.base_offset(snapshot) for p in kernel.parts]
-    if kernel.fmt is None:
-        sums = []
-        for v in values:
-            total = 0.0
-            for base in bases:
-                total += rows[base + v]
-            sums.append(total)
-        return sums
-    sat = kernel.fmt.max_raw
+    sat = kernel.sat
     sums = []
-    for v in values:
+    for v in range(kernel.arity):
         total = 0
         for base in bases:
             b = rows[base + v]
             if b == sat:
-                total = None
+                total = kernel.impossible
                 break
             total += b
         sums.append(total)
@@ -294,17 +269,39 @@ def _rates(weights) -> list:
     return [w / top for w in weights]
 
 
-class GibbsKernel:
+class _Kernel:
+    """A scalar kernel's variable, arity, format, table (its own when table
+    is None), factor parts and blanket getter (None past CPT_MAX_ENTRIES),
+    all checked. sat is the table's word for a zero weight and impossible a
+    row's: max_raw and None at fixed point, both +inf on the float path;
+    unit is one bit of energy, 2^f or 1."""
+
+    def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
+                 table: _EnergyTable | None):
+        if arity < 1:
+            raise ConfigError(f"variable {var!r} has arity {arity}")
+        table = _EnergyTable(fmt) if table is None else table
+        if table.fmt != fmt:
+            raise ConfigError(f"kernel of {var!r} has another format than its table")
+        self.parts = [_FactorPart(f, var, table) for f in factors]
+        if any(p.arity != arity for p in self.parts):
+            raise ConfigError(f"factor table arity mismatch on {var!r}")
+        sizes = {v: k for f in factors for v, k in zip(f.vars, f.table.shape) if v != var}
+        cached = math.prod(sizes.values()) * arity <= CPT_MAX_ENTRIES
+        self.blanket = _blanket(self.parts) if cached else None
+        self.var, self.arity, self.fmt, self.table = var, arity, fmt, table
+        self.sat, self.impossible, self.unit = (
+            (math.inf, math.inf, 1) if fmt is None else (fmt.max_raw, None, 1 << fmt.frac))
+
+
+class GibbsKernel(_Kernel):
     """Samples the variable's full conditional given its neighbors."""
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
                  table: _EnergyTable | None = None):
         if fmt is not None:
             check_weight_width(fmt)
-        self.table, self.parts, self.blanket = _kernel_parts(var, arity, factors, fmt, table)
-        self.var = var
-        self.arity = arity
-        self.fmt = fmt
+        super().__init__(var, arity, factors, fmt, table)
 
     def set_temperature(self, temperature: float):
         """Set T on the kernel's table, so on every kernel that shares it: in
@@ -319,10 +316,10 @@ class GibbsKernel:
         and only then clamp back into the representable range; values still
         beyond range after renormalization saturate to "impossible".
         """
-        sums = _part_sums(self, snapshot, range(self.arity))
+        sums = _part_sums(self, snapshot)
         if self.fmt is None:
             return sums
-        sat = self.fmt.max_raw
+        sat = self.sat
         live = [s for s in sums if s is not None]
         if not live:
             return [sat] * self.arity
@@ -343,14 +340,11 @@ class GibbsKernel:
     def tabulate(self, snapshot) -> tuple:
         """The conditional's CPT row: (weights, their total, spike rates)."""
         weights = self.weights(snapshot)
-        if self.fmt is None:
-            # left to right, as invert_cdf accumulates: the builtin sum of
-            # floats is compensated from Python 3.12 on
-            total = 0.0
-            for w in weights:
-                total += w
-        else:
-            total = sum(weights)
+        # left to right, as invert_cdf accumulates: the builtin sum of floats
+        # is compensated from Python 3.12 on
+        total = 0
+        for w in weights:
+            total += w
         return weights, total, _rates(weights)
 
     def step(self, current: int, snapshot, stream: EntropyStream) -> int:
@@ -360,21 +354,17 @@ class GibbsKernel:
         return invert_cdf(weights, stream.next_below(total))
 
 
-class MhKernel:
+class MhKernel(_Kernel):
     """Metropolis-Hastings kernel with a symmetric proposal (uniform default).
 
     Acceptance is computed in the energy domain: accept v' over v with
-    probability min(1, 2^(e(v) - e(v'))). A step that proposes a move
-    between two impossible values of a conditional with no support raises
-    NoSupportError, as a Gibbs step does.
-    """
+    probability min(1, 2^(e(v) - e(v'))), e a CPT row entry over unit. On a
+    conditional with no support a step raises NoSupportError, as a Gibbs
+    step does, unless it proposes the current value at arity two or more."""
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
                  proposal=None, table: _EnergyTable | None = None):
-        self.table, self.parts, self.blanket = _kernel_parts(var, arity, factors, fmt, table)
-        self.var = var
-        self.arity = arity
-        self.fmt = fmt
+        super().__init__(var, arity, factors, fmt, table)
         if proposal is not None:
             proposal = np.asarray(proposal, dtype=float)
             if proposal.shape != (arity, arity):
@@ -390,39 +380,27 @@ class MhKernel:
         """Set T on the kernel's table, as GibbsKernel.set_temperature does."""
         self.table.set_temperature(temperature)
 
-    def _energy_of(self, value: int, snapshot):
-        """Wide-accumulator energy sum; None marks a zero-weight value."""
-        return _part_sums(self, snapshot, (value,))[0]
-
     def tabulate(self, snapshot) -> list:
-        """The conditional's CPT row: every value's _energy_of."""
-        return _part_sums(self, snapshot, range(self.arity))
+        """The conditional's CPT row: every value's energy (_part_sums)."""
+        return _part_sums(self, snapshot)
 
     def step(self, current: int, snapshot, stream: EntropyStream) -> int:
         if self._proposal is None:
             proposed = stream.next_below(self.arity)
         else:
             proposed = invert_cdf(self._proposal[current], stream.next_unit())
-        if proposed == current:
+        if proposed == current and self.arity > 1:
             return current
         row = _cpt_row(self, snapshot)
         e_cur, e_new = row[current], row[proposed]
-        if self.fmt is None:
-            if e_new == float("inf"):
-                if e_cur == e_new and min(row) == e_new:
-                    raise _no_support(self.var)
-                return current
-            if e_cur == float("inf"):
-                return proposed
-            diff = e_cur - e_new
-        else:
-            if e_new is None:
-                if e_cur is None and row.count(None) == self.arity:
-                    raise _no_support(self.var)
-                return current
-            if e_cur is None:
-                return proposed
-            diff = (e_cur - e_new) / (1 << self.fmt.frac)
+        impossible = self.impossible
+        if e_new == impossible:
+            if e_cur == impossible and row.count(impossible) == self.arity:
+                raise _no_support(self.var)
+            return current
+        if e_cur == impossible:
+            return proposed
+        diff = (e_cur - e_new) / self.unit
         if diff >= 0:
             return proposed
         return proposed if stream.next_unit() < 2.0 ** diff else current

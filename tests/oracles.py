@@ -306,7 +306,7 @@ def gibbs_energies_by_parts(factors, var, arity, snapshot, fmt, temperature) -> 
 
 
 def mh_energy_by_parts(factors, var, value, snapshot, fmt, temperature):
-    """MhKernel._energy_of: the factors' entries for value summed in order;
+    """MhKernel.tabulate at value: the factors' entries summed in order;
     None when a fixed-point entry is the sentinel."""
     entries = [specialized_row(f, var, snapshot, fmt, temperature)[value] for f in factors]
     if fmt is None:

@@ -161,6 +161,31 @@ def test_motion_pipeline(runner, tmp_path):
     assert (out / "motion_meta.json").exists()
 
 
+@pytest.mark.parametrize("fmt", ["8,4", "16,8"])
+def test_stereo_annealed_to_a_tiny_temperature_exits_0(runner, tmp_path, fmt):
+    # at T = 1e-310 every finite energy / T overflows, yet stays possible
+    pair, _ = random_dot_stereogram(8, 8, 2, seed=1)
+    left, right = tmp_path / "l.pgm", tmp_path / "r.pgm"
+    write_pgm(left, pair.first)
+    write_pgm(right, pair.second)
+    result = invoke(runner, ["--format", fmt, "--out-dir", str(tmp_path / "out"), "stereo",
+                             str(left), str(right), "-d", "3", "--sweeps", "30",
+                             "--anneal", "2,1e-310"])
+    assert result.exit_code == 0, result.output
+
+
+def test_motion_with_offsets_past_the_image_edge_exits_0(runner, tmp_path):
+    rng = np.random.default_rng(0)
+    first = rng.integers(0, 256, size=(4, 4)).astype(np.uint8)
+    a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    write_pgm(a, first)
+    write_pgm(b, np.roll(first, 1, axis=0))
+    result = invoke(runner, ["--out-dir", str(tmp_path / "out"), "motion",
+                             str(a), str(b), "-d", "82", "--sweeps", "4"])
+    assert result.exit_code == 0, result.output
+    assert read_pgm(tmp_path / "out" / "motion_labels.pgm").shape == (4, 4)
+
+
 def test_dpmm_pipeline(runner, tmp_path):
     data = tmp_path / "data.txt"
     rows = [[0] * 8] * 6 + [[1] * 8] * 6

@@ -15,6 +15,7 @@ from stochcirc.gates import (
     estimate_cpt,
     identity_gate,
     not_gate,
+    or_gate,
     theta_sample,
     xor_gate,
 )
@@ -47,6 +48,7 @@ def test_and_gate_truth_table():
 def test_boolean_gates_match_truth_tables_everywhere():
     s = EntropyStream(1)
     for gate, fn in [(xor_gate(), lambda x: ((x >> 1) ^ x) & 1),
+                     (or_gate(), lambda x: int(x > 0)),
                      (not_gate(), lambda x: 1 - x),
                      (identity_gate(2), lambda x: x)]:
         for x in range(1 << gate.m):

@@ -8,6 +8,7 @@ from stochcirc.errors import ConfigError, ShapeError
 from stochcirc.factorgraph import enumerate_joint, marginal
 from stochcirc.lowprec import total_variation
 from stochcirc.mrf import (
+    EVIDENCE_CAP,
     EVIDENCE_SCALE,
     ImagePair,
     LatticeMRF,
@@ -70,6 +71,15 @@ def test_motion_mode_recovers_vertical_shift():
     y = evidence_from_images(ImagePair(first, second), 5, "motion")
     k = motion_offsets(5).index((-1, 0))
     assert np.all(y[1:, :, k] == 0.0)
+
+
+def test_motion_offsets_past_the_image_edge_cost_the_cap_everywhere():
+    rng = np.random.default_rng(3)
+    first, second = rng.integers(0, 256, size=(2, 4, 5)).astype(np.uint8)
+    y = evidence_from_images(ImagePair(first, second), 82, "motion")
+    past = [k for k, (dy, dx) in enumerate(motion_offsets(82)) if abs(dy) >= 4 or abs(dx) >= 5]
+    assert past
+    assert np.all(y[:, :, past] == EVIDENCE_CAP / EVIDENCE_SCALE)
 
 
 def test_smoothness_energy_examples():
@@ -165,6 +175,18 @@ def test_labels_to_gray_range():
     gray = labels_to_gray(labels, 5)
     assert gray.dtype == np.uint8
     assert gray.max() <= 255 and gray[1, 0] == 4 * (255 // 4)
+
+
+@pytest.mark.parametrize("d", [257, 300])
+def test_labels_to_gray_past_256_labels_spans_the_gray_range(d):
+    gray = labels_to_gray(np.arange(d), d)
+    assert gray[0] == 0 and gray[-1] == 255
+    assert np.all(np.diff(gray.astype(int)) >= 0)
+
+
+def test_labels_to_gray_keeps_its_step_up_to_256_labels():
+    assert labels_to_gray(np.arange(8), 8).tolist() == list(range(0, 253, 36))
+    assert labels_to_gray(np.arange(256), 256).tolist() == list(range(256))
 
 
 def test_pgm_roundtrip(tmp_path):

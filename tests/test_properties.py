@@ -304,7 +304,8 @@ def test_one_table_matches_per_part_quantization(case, kernel, fmt, temperatures
         if kernel == "gibbs":
             circ.kernel.conditional_energies = lambda snap, name=name: oracle(name, snap)
         else:
-            circ.kernel._energy_of = lambda v, snap, name=name: oracle(name, snap, v)
+            circ.kernel.tabulate = lambda snap, name=name, arity=circ.arity: [
+                oracle(name, snap, v) for v in range(arity)]
     stream = EntropyStream(seed)
     results = [[], []]
     for temperature in temperatures:
@@ -317,7 +318,7 @@ def test_one_table_matches_per_part_quantization(case, kernel, fmt, temperatures
                 if kernel == "gibbs":
                     assert circ.kernel.conditional_energies(snapshot) == oracle(name, snapshot)
                 else:
-                    assert ([circ.kernel._energy_of(v, snapshot) for v in range(circ.arity)]
+                    assert (circ.kernel.tabulate(snapshot)
                             == [oracle(name, snapshot, v) for v in range(circ.arity)])
         for assembly, out in zip(assemblies, results):
             try:

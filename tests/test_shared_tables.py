@@ -5,6 +5,7 @@ factor-variable pair on its own gives.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stochcirc import fixture_text, transition
 from stochcirc.compiler import compile as compile_graph
 from stochcirc.entropy import EntropyStream
 from stochcirc.factorgraph import parse
+from stochcirc.lowprec import EnergyFormat
 from stochcirc.transition import run
 from stochcirc.mrf import (
     ImagePair,
@@ -114,10 +116,21 @@ def test_kernel_built_alone_specializes_its_own_tables():
         assert same_bits(float_rows(one, p), float_rows(two, q))
 
 
+@pytest.mark.parametrize("temperature,word", [(1.0, 16), (1e-3, 254), (1e-310, 254)])
+def test_a_finite_energy_stays_possible_at_any_temperature(temperature, word):
+    # energy / T overflows at 1e-310; the finite energy still clamps below
+    # the sentinel, and the overflow warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = transition._quantize_rows(np.array([0.0, 1.0, math.inf]), EnergyFormat(8, 4),
+                                        temperature)
+    assert raw.tolist() == [0, word, 255]
+
+
 def energies(kernel, snapshot) -> list:
     if isinstance(kernel, transition.GibbsKernel):
         return kernel.conditional_energies(snapshot)
-    return [kernel._energy_of(v, snapshot) for v in range(kernel.arity)]
+    return kernel.tabulate(snapshot)
 
 
 @pytest.mark.parametrize("kernel", ["gibbs", "mh"])

@@ -122,6 +122,19 @@ def test_mh_step_on_a_conditional_with_no_support_raises(fmt):
     assert kernel.step(1, {"A": 0}, EntropyStream(0)) in (0, 1)
 
 
+@pytest.mark.parametrize("fmt", [DEFAULT_FORMAT, None], ids=["8,4", "float"])
+def test_mh_step_at_arity_one_reads_its_row(fmt):
+    # B's one value is impossible at A = 1, so every step raises; at A = 0
+    # it is possible, and a step keeps it without drawing
+    kernel = MhKernel("B", 1, [Factor("f", ["A", "B"], [1, 0], [2, 1])], fmt)
+    with pytest.raises(NoSupportError) as err:
+        kernel.step(0, {"A": 1}, EntropyStream(0))
+    assert err.value.variable == "B"
+    stream = EntropyStream(0)
+    assert [kernel.step(0, {"A": 0}, stream) for _ in range(5)] == [0] * 5
+    assert stream.draws_consumed == 0
+
+
 @pytest.mark.parametrize("bits,frac", [(32, 0), (16, 0), (12, 0)])
 def test_gibbs_kernel_refuses_weights_past_the_bound(bits, frac):
     fmt = EnergyFormat(bits, frac)
