@@ -8,19 +8,21 @@ results.
 
 The global options are parsed once, before any subcommand runs, so a
 malformed --format or a --fault-rate outside [0, 1] exits 6 whatever the
-subcommand. The output directory is made once the subcommand's own
-arguments have parsed, so an argument rejected there (a draw count below
-1, say) leaves no directory behind. Every subcommand hands its artifacts
-to one writer, _emit, which writes them in order, echoes "wrote <path>"
-for each, and then writes <name>_meta.json (command, seed, parameters,
-package version). The command is the invoked subcommand path ("dpmm
-run"), and <name> is that path with spaces and dashes turned into
-underscores ("dpmm_run"). No timestamps anywhere.
+subcommand. Every input file must exist and be a file, not a directory
+(exit 2). Every subcommand hands its artifacts to one writer, _emit,
+which makes the output directory, writes them in order, echoes "wrote
+<path>" for each, and then writes <name>_meta.json (command, seed,
+parameters, package version). A run that fails, and a subcommand that
+writes no artifact (fg validate, selftest), leaves no directory behind.
+The command is the invoked subcommand path ("dpmm run"), and <name> is
+that path with spaces and dashes turned into underscores ("dpmm_run"). No
+timestamps anywhere.
 
-Exit codes:
+Exit codes (EXIT_CODES maps each library and decode failure to 3-6):
     0 success
-    2 usage error (unknown subcommand or flag)
-    3 model parse/validation error
+    1 a selftest check failed
+    2 usage error (unknown subcommand or flag, missing file, directory input)
+    3 model parse/validation error, or a model or CPT file not in UTF-8
     4 no-support error (empty conditional or all-saturated energies)
     5 schedule discipline violation
     6 configuration, domain, or shape error
@@ -55,7 +57,6 @@ from .dpmm import (
 from .entropy import DEFAULT_SEED, EntropyStream
 from .errors import (
     ConfigError,
-    DomainError,
     GraphError,
     NoSupportError,
     ScheduleViolationError,
@@ -89,36 +90,22 @@ EXIT_CODES = [
     (NoSupportError, 4),
     (GraphError, 3),
     (json.JSONDecodeError, 3),
-    ((ConfigError, DomainError, ShapeError), 6),
+    (UnicodeDecodeError, 3),
     (StochcircError, 6),
 ]
 
-
-class _Command(click.Command):
-    """A subcommand; the output directory is made only once its own
-    arguments have parsed, so an argument rejected while parsing leaves no
-    directory behind."""
-
-    def invoke(self, ctx):
-        ctx.obj["out_dir"].mkdir(parents=True, exist_ok=True)
-        return super().invoke(ctx)
+_FILE = click.Path(exists=True, dir_okay=False)  # the type of every input file
 
 
-class _Group(click.Group):
-    command_class = _Command
-
-
-class _Main(_Group):
-    """The root group; maps every library and JSON error to its exit code."""
-
-    group_class = _Group
+class _Main(click.Group):
+    """The root group; maps every failure in EXIT_CODES to its exit code."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (StochcircError, json.JSONDecodeError) as exc:
+        except tuple(kind for kind, _ in EXIT_CODES) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds)))
+            sys.exit(next(code for kind, code in EXIT_CODES if isinstance(exc, kind)))
 
 
 def _number(text: str, convert, what: str):
@@ -127,13 +114,6 @@ def _number(text: str, convert, what: str):
         return convert(text)
     except ValueError:
         raise ConfigError(f"{what} must be a number, got {text!r}") from None
-
-
-def _draw_count(ctx, param, value: int) -> int:
-    """The -n callback: a draw count below 1 is a ConfigError."""
-    if value < 1:
-        raise ConfigError(f"-n must be at least 1, got {value}")
-    return value
 
 
 def _parse_format(text: str | None):
@@ -161,7 +141,8 @@ def _write(path, content):
 
 
 def _emit(ctx, files, params):
-    """Write each (file name, content) in order, then <name>_meta.json.
+    """Make the output directory, write each (file name, content) in order,
+    then <name>_meta.json.
 
     The metadata names the invoked subcommand path, walked up from ctx.
     """
@@ -171,6 +152,7 @@ def _emit(ctx, files, params):
         node = node.parent
     command = " ".join(names)
     out = ctx.obj["out_dir"]
+    out.mkdir(parents=True, exist_ok=True)
     for name, content in files:
         _write(out / name, content)
     doc = {"command": command, "seed": ctx.obj["seed"], "version": __version__,
@@ -180,7 +162,7 @@ def _emit(ctx, files, params):
 
 
 def _load_graph(model, evidence):
-    graph = parse_file(model) if model != "-" else parse(sys.stdin.read())
+    graph = parse_file(model)
     for item in evidence:
         if "=" not in item:
             raise ConfigError(f"evidence must be var=value, got {item!r}")
@@ -231,14 +213,15 @@ def gate():
 
 
 @gate.command("sample")
-@click.option("--cpt", "cpt_path", required=True, type=click.Path(exists=True),
+@click.option("--cpt", "cpt_path", required=True, type=_FILE,
               help="JSON table {m, n, rows}.")
 @click.option("--input", "input_word", type=int, required=True)
-@click.option("-n", "draws", type=int, default=10000, show_default=True,
-              callback=_draw_count)
+@click.option("-n", "draws", type=int, default=10000, show_default=True)
 @click.pass_context
 def gate_sample(ctx, cpt_path, input_word, draws):
     """Sample a table gate and emit the output histogram."""
+    if draws < 1:
+        raise ConfigError(f"-n must be at least 1, got {draws}")
     with open(cpt_path, "r", encoding="utf-8") as fh:
         g = TableGate(Cpt.from_json(fh.read()))
     stream = EntropyStream(ctx.obj["seed"])
@@ -272,7 +255,7 @@ def fg():
 
 
 @fg.command("validate")
-@click.argument("model", type=click.Path(exists=True))
+@click.argument("model", type=_FILE)
 def fg_validate(model):
     """Parse and validate a model file; exit 0 when well formed."""
     graph = parse_file(model)
@@ -280,7 +263,7 @@ def fg_validate(model):
 
 
 @main.command("compile")
-@click.argument("model", type=click.Path(exists=True))
+@click.argument("model", type=_FILE)
 @click.option("--kernel", type=click.Choice(["gibbs", "mh"]),
               default="gibbs", show_default=True)
 @click.option("--evidence", multiple=True, help="var=value, repeatable.")
@@ -301,7 +284,7 @@ def compile_cmd(ctx, model, kernel, evidence):
 
 
 @main.command("query")
-@click.argument("model", type=click.Path(exists=True))
+@click.argument("model", type=_FILE)
 @click.option("--evidence", multiple=True, help="var=value, repeatable.")
 @click.option("--sweeps", type=int, default=20000, show_default=True)
 @click.option("--burn-in", type=int, default=None)
@@ -317,7 +300,7 @@ def query_cmd(ctx, model, evidence, sweeps, burn_in, thin):
 
 
 @main.command("run")
-@click.argument("model", type=click.Path(exists=True))
+@click.argument("model", type=_FILE)
 @click.option("--evidence", multiple=True, help="var=value, repeatable.")
 @click.option("--sweeps", type=int, default=10000, show_default=True)
 @click.option("--burn-in", type=int, default=None)
@@ -333,7 +316,7 @@ def run_cmd(ctx, model, evidence, sweeps, burn_in, thin):
 
 
 @main.command("fault-report")
-@click.argument("model", type=click.Path(exists=True))
+@click.argument("model", type=_FILE)
 @click.option("--rates", default="0,0.0001,0.001,0.01", show_default=True)
 @click.option("--sweeps", type=int, default=20000, show_default=True)
 @click.pass_context
@@ -351,8 +334,8 @@ def _matching_command(mode, first, second, candidates, help):
     """Register the stereo or motion subcommand, a lattice MRF on two PGM images."""
 
     @main.command(mode, help=help)
-    @click.argument(first, type=click.Path(exists=True))
-    @click.argument(second, type=click.Path(exists=True))
+    @click.argument(first, type=_FILE)
+    @click.argument(second, type=_FILE)
     @click.option("-d", "--candidates", "d", type=int, default=candidates, show_default=True)
     @click.option("--sweeps", type=int, default=200, show_default=True)
     @click.option("--lam", type=float, default=1.0, show_default=True)
@@ -387,7 +370,7 @@ def dpmm():
 
 
 @dpmm.command("run")
-@click.argument("data", type=click.Path(exists=True))
+@click.argument("data", type=_FILE)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--beta-on", type=float, default=0.5, show_default=True)
 @click.option("--beta-off", type=float, default=0.5, show_default=True)
@@ -456,7 +439,7 @@ def spike():
 
 
 @spike.command("run")
-@click.argument("model", type=click.Path(exists=True))
+@click.argument("model", type=_FILE)
 @click.option("--evidence", multiple=True, help="var=value, repeatable.")
 @click.option("--sweeps", type=int, default=1000, show_default=True)
 @click.option("--burn-in", type=int, default=None)

@@ -86,8 +86,7 @@ def compile(graph: FactorGraph, kernel: str = "gibbs",
         else:
             k = MhKernel(name, arity, touching, fmt, table=table)
         circuits.append(TransitionCircuit(name, arity, k, master.fork(idx)))
-    edges = graph.interaction_edges()
-    coloring = color_interaction_graph(graph.var_names, edges)
+    coloring = color_interaction_graph(graph.var_names, graph.interaction_edges())
     if schedule == "parallel":
         groups = schedule_from_coloring(coloring)
     else:
@@ -95,7 +94,6 @@ def compile(graph: FactorGraph, kernel: str = "gibbs",
     scan_stream = master.fork(len(names)) if schedule == "random-scan" else None
     assembly = TransitionAssembly(
         circuits,
-        edges,
         groups,
         clamped=dict(graph.evidence),
         meta={"seed": seed, "kernel": kernel, "schedule": schedule,

@@ -289,6 +289,8 @@ def read_idx_images(path, threshold: int = 128):
     ndim = blob[3]
     if ndim != 3:
         raise ConfigError(f"{path}: expected 3 dimensions (count, height, width)")
+    if len(blob) < 4 + 4 * ndim:
+        raise ConfigError(f"{path}: truncated IDX header")
     dims = [int.from_bytes(blob[4 + 4 * i:8 + 4 * i], "big") for i in range(ndim)]
     n, h, w = dims
     pixels = np.frombuffer(blob[4 + 4 * ndim:], dtype=np.uint8)

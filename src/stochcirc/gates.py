@@ -34,7 +34,7 @@ class Cpt:
                 f"dense table with {rows.size} entries exceeds limit {MAX_TABLE_ENTRIES}; "
                 "use a procedural gate"
             )
-        if np.any(rows < 0.0) or np.any(rows > 1.0):
+        if not np.all((rows >= 0.0) & (rows <= 1.0)):  # NaN fails both
             raise DomainError("table entries must lie in [0, 1]")
         sums = rows.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
@@ -73,7 +73,10 @@ class Cpt:
     def from_json(cls, text: str) -> "Cpt":
         doc = json.loads(text)
         try:
-            return cls(int(doc["m"]), int(doc["n"]), doc["rows"])
+            m, n = doc["m"], doc["n"]
+            if type(m) is not int or type(n) is not int:  # a JSON integer, not a bool
+                raise ConfigError(f"CPT JSON m and n must be integers, got {m!r} and {n!r}")
+            return cls(m, n, doc["rows"])
         except KeyError as exc:
             raise ConfigError(f"CPT JSON is missing field {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:

@@ -81,6 +81,9 @@ LANE_MIN_WIDTH = 16
 CPT_MAX_ENTRIES = 4096
 #: Lane weights and their running CDF are int64: weight_bits(fmt, K) must not exceed this.
 LANE_WEIGHT_BITS = 62
+#: The float path's largest finite energy / T: a kernel can add 2^23 parts
+#: of it without overflowing to +inf, its mark of a zero weight.
+FLOAT_ENERGY_CAP = 2.0 ** 1000
 _POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))  # 2^0 .. 2^62
 
 
@@ -106,18 +109,23 @@ def _energy_rows(weights: np.ndarray, peak) -> np.ndarray:
     return energy - np.where(np.isfinite(mins), mins, 0.0)
 
 
-def _quantize_rows(float_rows: np.ndarray, fmt: EnergyFormat,
+def _quantize_rows(float_rows: np.ndarray, fmt: EnergyFormat | None,
                    temperature: float) -> np.ndarray:
-    """Raw words of float energy rows at a temperature, as int64.
+    """Raw words of float energy rows at a temperature, as int64, or energy
+    / T as floats on the float path (fmt None).
 
-    The sentinel is reserved for true zero weights; finite energies clamp to
-    the largest representable value so cooling never manufactures
-    impossible states, even where energy / T overflows.
+    The sentinel, max_raw or +inf, is reserved for true zero weights;
+    finite energies clamp below it, to max_raw - 1 or FLOAT_ENERGY_CAP, so
+    cooling never manufactures impossible states, even where energy / T
+    overflows.
     """
+    finite = np.isfinite(float_rows)
     with np.errstate(over="ignore"):
+        if fmt is None:
+            return np.where(finite, np.minimum(float_rows / temperature, FLOAT_ENERGY_CAP),
+                            np.inf)
         raw = np.rint(float_rows / temperature * (1 << fmt.frac))
-    raw = np.where(np.isfinite(float_rows), np.minimum(raw, fmt.max_raw - 1), fmt.max_raw)
-    return raw.astype(np.int64)
+    return np.where(finite, np.minimum(raw, fmt.max_raw - 1), fmt.max_raw).astype(np.int64)
 
 
 def _no_support(var: str) -> NoSupportError:
@@ -131,12 +139,12 @@ class _EnergyTable:
     (offset, shape, read-only flat float rows) of its specialized rows, held
     once. Blocks are only appended, so an offset stays valid; the zeros that
     lanes read for missing parts are a block like any other. The first read
-    after an add or a temperature change quantizes once: raw is int64 raw
-    words (energies / T on the float path), and rows, its Python list for
-    scalar kernels, is built on first read. Both are cached attributes, so
-    the read a kernel makes on every conditional is a lookup, not a call.
-    cpt, the scalar kernels' conditional rows (see _cpt_row), goes with
-    them.
+    after an add or a temperature change quantizes once (_quantize_rows):
+    raw is int64 raw words (energies / T on the float path), and rows, its
+    Python list for scalar kernels, is built on first read. Both are cached
+    attributes, so the read a kernel makes on every conditional is a
+    lookup, not a call. cpt, the scalar kernels' conditional rows (see
+    _cpt_row), goes with them.
     """
 
     def __init__(self, fmt: EnergyFormat | None):
@@ -173,8 +181,7 @@ class _EnergyTable:
     def raw(self) -> np.ndarray:
         # the empty start serves a table of factorless kernels
         floats = np.concatenate([np.empty(0)] + [b for _, _, b in self.blocks.values()])
-        return (floats / self.temperature if self.fmt is None
-                else _quantize_rows(floats, self.fmt, self.temperature))
+        return _quantize_rows(floats, self.fmt, self.temperature)
 
     @cached_property
     def rows(self) -> list:
@@ -432,22 +439,24 @@ class TransitionCircuit:
 class TransitionAssembly:
     """Circuits plus interaction graph, schedule groups, and clamps.
 
-    The registers are one int64 vector, values, in the sorted-name order of
-    circuits, and index maps a name to its register. Kernel parts are bound
-    to read neighbors by register index, so a kernel serves one register
-    layout. A scan_stream, when set, switches run() to random-scan mode:
-    each sweep draws variable indices uniformly (a mixture hybrid kernel)
-    instead of cycling the schedule groups.
+    The interaction graph, edges, comes from the kernels: a sorted name pair
+    for each variable a circuit's factor parts read, so the schedule check
+    sees what the kernels read. The registers are one int64 vector, values,
+    in the sorted-name order of circuits, and index maps a name to its
+    register. Kernel parts are bound to read neighbors by register index, so
+    a kernel serves one register layout. A scan_stream, when set, switches
+    run() to random-scan mode: each sweep draws variable indices uniformly
+    (a mixture hybrid kernel) instead of cycling the schedule groups.
     """
 
-    def __init__(self, circuits, edges, schedule, clamped=None, state=None,
+    def __init__(self, circuits, schedule, clamped=None, state=None,
                  meta=None, scan_stream=None):
         self.circuits: dict[str, TransitionCircuit] = {
             c.var: c for c in sorted(circuits, key=lambda c: c.var)}
         self.names = list(self.circuits)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.values = np.zeros(len(self.names), np.int64)
-        self.edges = {tuple(sorted(e)) for e in edges}
+        self.edges: set[tuple[str, str]] = set()
         self.schedule: list[list[str]] = [list(g) for g in schedule]
         self.clamped: dict[str, int] = {}
         self.scan_stream = scan_stream
@@ -465,6 +474,7 @@ class TransitionAssembly:
                 if part.keys not in (part.neighbors, keys):
                     raise ConfigError(f"{circ.var!r}: kernel bound to other registers")
                 part.keys = keys
+                self.edges.update(tuple(sorted((circ.var, n))) for n in part.neighbors)
             if circ.kernel.blanket is not None:
                 circ.kernel.blanket = _blanket(circ.kernel.parts)
         self.meta = dict(meta or {})

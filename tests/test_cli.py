@@ -161,7 +161,7 @@ def test_motion_pipeline(runner, tmp_path):
     assert (out / "motion_meta.json").exists()
 
 
-@pytest.mark.parametrize("fmt", ["8,4", "16,8"])
+@pytest.mark.parametrize("fmt", ["8,4", "16,8", "float"])
 def test_stereo_annealed_to_a_tiny_temperature_exits_0(runner, tmp_path, fmt):
     # at T = 1e-310 every finite energy / T overflows, yet stays possible
     pair, _ = random_dot_stereogram(8, 8, 2, seed=1)
@@ -313,6 +313,10 @@ def test_every_subcommand_has_help(runner, args):
 @pytest.mark.parametrize("text, code", [
     ('{"m": 1, "n": 1, "rows": [[0.5, 0.5], [1.0, 0.0]]', 3),  # malformed JSON
     ('{"m": 1, "rows": [[0.5, 0.5], [1.0, 0.0]]}', 6),          # no "n" field
+    ('{"m": 1, "n": 1, "rows": [[NaN, 0.5], [1, 0]]}', 6),      # a NaN entry
+    ('{"m": 1.9, "n": 1, "rows": [[0.5, 0.5], [1.0, 0.0]]}', 6),  # sizes are integers
+    ('{"m": true, "n": 1, "rows": [[0.5, 0.5], [1.0, 0.0]]}', 6),
+    ('{"m": "1", "n": 1, "rows": [[0.5, 0.5], [1.0, 0.0]]}', 6),
 ])
 def test_gate_sample_bad_cpt_exit_codes(runner, tmp_path, text, code):
     cpt = tmp_path / "cpt.json"
@@ -461,7 +465,21 @@ def test_dpmm_idx_file_with_no_images_exit_6(runner, tmp_path):
     assert result.exit_code == 6, result.output
     assert isinstance(result.exception, SystemExit)
     assert "empty data file" in result.output
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [4, 12, 15])
+def test_dpmm_idx_file_cut_off_in_its_header_exit_6(runner, tmp_path, size):
+    # three dimensions need a 16-byte header; a missing size is not a zero
+    idx = tmp_path / "cut.idx"
+    idx.write_bytes((bytes([0, 0, 0x08, 3]) + b"".join(d.to_bytes(4, "big")
+                                                      for d in (1, 2, 3)))[:size])
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out-dir", str(out), "dpmm", "run", str(idx), "--idx"])
+    assert result.exit_code == 6, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "truncated IDX header" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -533,7 +551,7 @@ def test_dpmm_image_shape_that_does_not_hold_the_pixels_exit_6(runner, tmp_path,
                                   "--image-shape", shape])
     assert result.exit_code == 6, result.output
     assert isinstance(result.exception, SystemExit)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("draws", ["0", "-5"])
@@ -576,7 +594,7 @@ def _invoke_rejected(runner, tmp_path, model_file, args):
         result = runner.invoke(main, argv)
     assert result.exit_code == 6, result.output
     assert isinstance(result.exception, SystemExit)
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
     return result.output
 
 
@@ -664,3 +682,61 @@ def test_csv_text_writes_floats_as_repr_and_they_read_back(value):
     field = text.split("\n")[1].split(",")[1]
     assert float(field) == value and math.copysign(1, float(field)) == math.copysign(1, value)
     assert "\r" not in text
+
+
+def _invoke_at_the_boundary(runner, tmp_path, args, code):
+    """Invoke args, formatted with a model, a model with no support, a binary
+    PGM, a directory and a file that is not UTF-8 text; the run must exit
+    with code, raise nothing but SystemExit and leave no output directory.
+    Returns the output."""
+    paths = {"model": tmp_path / "fork.json", "zero": tmp_path / "zero.json",
+             "pgm": tmp_path / "r.pgm", "dir": tmp_path / "adir",
+             "bytes": tmp_path / "bytes.bin"}
+    paths["model"].write_text(fixture_text("three_var_fork.json"))
+    paths["zero"].write_text('{"variables": [{"name": "X", "arity": 2}], '
+                             '"factors": [{"name": "f", "vars": ["X"], "table": [0, 0]}]}')
+    write_pgm(paths["pgm"], np.full((4, 4), 255, np.uint8))
+    paths["dir"].mkdir()
+    paths["bytes"].write_bytes(bytes([0xFF, 0xFE, 0x80]) * 4)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out-dir", str(out)] + [a.format(**paths) for a in args])
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not out.exists()
+    return result.output
+
+
+@pytest.mark.parametrize("args, code", [
+    (["query", "{zero}", "--sweeps", "10"], 4),
+    (["fg", "validate", "{model}"], 0),
+    (["selftest"], 0),
+], ids=["query-no-support", "fg-validate", "selftest"])
+def test_a_run_that_writes_no_artifact_makes_no_output_directory(runner, tmp_path, args,
+                                                                 code):
+    _invoke_at_the_boundary(runner, tmp_path, args, code)
+
+
+@pytest.mark.parametrize("args", [
+    ["query", "{dir}"], ["fg", "validate", "{dir}"],
+    ["gate", "sample", "--cpt", "{dir}", "--input", "0"], ["stereo", "{dir}", "{pgm}"],
+    ["dpmm", "run", "{dir}"], ["dpmm", "run", "{dir}", "--idx"],
+], ids=["query", "fg-validate", "gate-cpt", "stereo", "dpmm", "dpmm-idx"])
+def test_a_directory_given_as_an_input_file_exits_2(runner, tmp_path, args):
+    assert "is a directory" in _invoke_at_the_boundary(runner, tmp_path, args, 2)
+
+
+@pytest.mark.parametrize("args", [
+    ["query", "{bytes}"], ["fg", "validate", "{bytes}"], ["spike", "run", "{pgm}"],
+    ["gate", "sample", "--cpt", "{bytes}", "--input", "0"],
+], ids=["query", "fg-validate", "spike-pgm", "gate-cpt"])
+def test_an_input_that_is_not_utf8_text_exits_3(runner, tmp_path, args):
+    assert "can't decode" in _invoke_at_the_boundary(runner, tmp_path, args, 3)
+
+
+def test_a_model_file_named_dash_is_read_as_that_file(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("-").write_text(fixture_text("three_var_fork.json"))
+    result = runner.invoke(main, ["--out-dir", "out", "query", "-", "--sweeps", "10"],
+                           input="")
+    assert result.exit_code == 0, result.output
+    assert Path("out/marginals.csv").read_text().startswith("variable,value")

@@ -147,7 +147,7 @@ def test_lanes_on_a_table_that_grew_after_an_earlier_lowering(monkeypatch):
         master = EntropyStream(18)
         circuits = [transition.TransitionCircuit(k.var, k.arity, k, master.fork(i))
                     for i, k in enumerate(kernels)]
-        return transition.TransitionAssembly(circuits, set(), [[c.var for c in circuits]])
+        return transition.TransitionAssembly(circuits, [[c.var for c in circuits]])
 
     assert both_paths(make_assembly, rows_of((1.0, 4, 0)), monkeypatch) == 1 + 4
 

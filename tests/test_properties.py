@@ -7,13 +7,16 @@ directory is set to a temporary one, removed at exit, as this module is
 imported.
 """
 
+import itertools
 import json
 import math
 import tempfile
+import traceback
 from itertools import product
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra.numpy import arrays
@@ -28,6 +31,7 @@ from oracles import (
     recomputing_twin,
 )
 from stochcirc import dpmm, fixture_text
+from stochcirc.cli import main
 from stochcirc.compiler import compile as compile_graph
 from stochcirc.entropy import EntropyStream
 from stochcirc.errors import NoSupportError, StochcircError
@@ -45,7 +49,9 @@ from stochcirc.mrf import (
     ImagePair,
     evidence_from_images,
     motion_offsets,
+    random_dot_stereogram,
 )
+from stochcirc.pgm import write_pgm
 from stochcirc.spiking import simulate_spiking_assembly
 from stochcirc.transition import LANE_MIN_WIDTH, GibbsKernel, TransitionAssembly, run
 from test_lane import both_paths
@@ -185,7 +191,7 @@ def test_compiled_lanes_match_the_scalar_path(case, seed):
 
     def make():
         compiled = compile_graph(graph, fmt=fmt, seed=seed)
-        return TransitionAssembly(compiled.circuits.values(), compiled.edges, classes,
+        return TransitionAssembly(compiled.circuits.values(), classes,
                                   clamped=clamps)
 
     def script(assembly):
@@ -465,3 +471,102 @@ def test_malformed_model_documents_raise_only_library_errors(name, data):
         parse(json.dumps(doc))
     except (StochcircError, json.JSONDecodeError):
         pass
+
+
+#: Junk drawn now and then for any CLI option: mostly not a number of the
+#: kind the option asks for.
+CLI_JUNK = ("nan", "inf", "-inf", "", "x", "1x", "2,0.1")
+_COUNT = ("0", "1", "2", "3", "-1")
+_REAL = ("0.5", "1", "2", "0", "-1", "1e308")
+_EVIDENCE = ("A=1", "C=0", "B=5", "Z=0", "A=x", "A", "=1")
+_CHAIN = [("--evidence", _EVIDENCE, False), ("--sweeps", _COUNT, True),
+          ("--burn-in", _COUNT, False)]
+_MATCHING = [("-d", ("1", "2", "3", "8", "40", "0", "-1"), False), ("--sweeps", _COUNT, True),
+             ("--lam", _REAL, False), ("--tau", _REAL, False),
+             ("--anneal", ("off", "2,0.1", "2", "0,1", "2,1e-310", "nan,1"), False)]
+#: Each subcommand but selftest: its path, its input files by their usual
+#: file, and [(option, values, always given)]; values None is a flag, a
+#: string an input file. Every size is small: sweeps up to 3, -d up to 40
+#: on 8x8 images, --per-bin up to 3, --outcomes up to 5, -n up to 5.
+CLI_COMMANDS = [
+    (["gate", "sample"], [], [("--cpt", "cpt.json", True),
+                              ("--input", ("0", "1", "2", "-1"), True),
+                              ("-n", ("0", "1", "5", "-1"), True)]),
+    (["precision-sweep"], [], [("--outcomes", ("0", "1", "2", "5", "-1"), True),
+                               ("--per-bin", ("0", "1", "3", "-1"), True),
+                               ("--bits", ("4", "4,6", "2", "17", "40"), False)]),
+    (["fg", "validate"], ["model.json"], []),
+    (["compile"], ["model.json"], [("--kernel", ("gibbs", "mh"), False),
+                                   ("--evidence", _EVIDENCE, False)]),
+    (["query"], ["model.json"], _CHAIN + [("--thin", _COUNT, False)]),
+    (["run"], ["model.json"], _CHAIN + [("--thin", _COUNT, False)]),
+    (["fault-report"], ["model.json"], [("--rates", ("0", "0,0.01", "1", "-0.5", "2"), False),
+                                        ("--sweeps", _COUNT, True)]),
+    (["stereo"], ["left.pgm", "right.pgm"], _MATCHING),
+    (["motion"], ["left.pgm", "right.pgm"], _MATCHING),
+    (["dpmm", "run"], ["data.txt"], [
+        ("--alpha", _REAL, False), ("--beta-on", _REAL, False), ("--beta-off", _REAL, False),
+        ("--sweeps", _COUNT, True), ("--burn-in", _COUNT, True), ("--idx", None, False),
+        ("--binarize", ("0", "128", "-1", "300"), False),
+        ("--image-shape", ("2x2", "1x4", "0x4", "-1x-4", "2x3", "4"), False)]),
+    (["spike", "run"], ["model.json"], _CHAIN),
+]
+CLI_GLOBALS = [("--seed", ("0", "7", "-1")),
+               ("--format", ("8,4", "float", "16,8", "4,0", "32,27")),
+               ("--schedule", ("parallel", "serial", "random-scan")),
+               ("--fault-rate", ("0", "0.01", "1", "2")),
+               ("--threads", ("1", "2", "0"))]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The CLI fuzz's input files by name, and a counter for fresh output
+    directories under the same base."""
+    base = tmp_path_factory.mktemp("cli")
+    files = {name: base / name for name in (
+        "model.json", "adir", "bytes.bin", "left.pgm", "right.pgm", "cut.pgm",
+        "nan_cpt.json", "cpt.json", "data.txt", "digits.idx")}
+    pair, _ = random_dot_stereogram(8, 8, 2, seed=1)
+    files["model.json"].write_text(fixture_text("three_var_fork.json"))
+    files["adir"].mkdir()
+    files["bytes.bin"].write_bytes(bytes([0xFF, 0xFE, 0x80]) * 4)
+    write_pgm(files["left.pgm"], pair.first)
+    write_pgm(files["right.pgm"], pair.second)
+    files["cut.pgm"].write_bytes(files["left.pgm"].read_bytes()[:40])
+    files["nan_cpt.json"].write_text('{"m": 1, "n": 1, "rows": [[NaN, 0.5], [1, 0]]}')
+    files["cpt.json"].write_text('{"m": 1, "n": 1, "rows": [[0.25, 0.75], [1.0, 0.0]]}')
+    files["data.txt"].write_text("0 1 1 0\n1 1 0 0\n0 0 1 1\n")
+    files["digits.idx"].write_bytes(bytes([0, 0, 0x08, 3]) + b"".join(
+        d.to_bytes(4, "big") for d in (3, 2, 2)) + bytes(range(0, 240, 20)))
+    return {name: str(path) for name, path in files.items()}, base, itertools.count()
+
+
+@settings(DETERMINISTIC, max_examples=250)
+@given(rng=st.randoms(use_true_random=True))
+def test_cli_arguments_end_in_a_documented_exit_code(cli_files, rng):
+    """Any argv of small sizes, junk values and awkward input files (a
+    directory, bytes that are not UTF-8, a cut-off PGM, a NaN CPT) exits 0
+    or 2-6 with no traceback, and a run that fails leaves no output
+    directory."""
+    files, base, serial = cli_files
+    out = base / f"out{next(serial)}"
+
+    def value(values):  # the usual file or value; now and then any file, or junk
+        if isinstance(values, str):
+            return files[values if rng.random() < 0.7 else rng.choice(sorted(files))]
+        return rng.choice(CLI_JUNK if rng.random() < 0.1 else values)
+
+    argv = ["--out-dir", str(out)]
+    for option, values in CLI_GLOBALS:
+        if rng.random() < 0.3:
+            argv += [option, value(values)]
+    path, slots, options = rng.choice(CLI_COMMANDS)
+    argv += path + [value(usual) for usual in slots]
+    for option, values, always in options:
+        if always or rng.random() < 0.5:
+            argv += [option] if values is None else [option, value(values)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, "".join(traceback.format_exception(*result.exc_info)))
+    assert result.exit_code in (0, 2, 3, 4, 5, 6), (argv, result.output)
+    assert result.exit_code == 0 or not out.exists(), (argv, result.output)

@@ -127,6 +127,22 @@ def test_a_finite_energy_stays_possible_at_any_temperature(temperature, word):
     assert raw.tolist() == [0, word, 255]
 
 
+@pytest.mark.parametrize("temperature,energy", [(1.0, 1.0), (1e-3, 1000.0),
+                                                (1e-310, 2.0 ** 1000)])
+def test_a_finite_energy_stays_possible_at_any_temperature_on_the_float_path(temperature,
+                                                                             energy):
+    # energy / T overflows at 1e-310; the finite energy still stays below
+    # +inf, the float path's mark of a zero weight, and the overflow warns
+    # nothing
+    table = transition._EnergyTable(None)
+    table.add("block", lambda: np.array([0.0, 1.0, math.inf]))
+    table.set_temperature(temperature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = table.raw
+    assert raw.tolist() == [0.0, energy, math.inf]
+
+
 def energies(kernel, snapshot) -> list:
     if isinstance(kernel, transition.GibbsKernel):
         return kernel.conditional_energies(snapshot)

@@ -352,7 +352,7 @@ def test_isolated_variable_assembly():
     f = Factor("u", ["X"], [1.0, 3.0], [2])
     kernel = GibbsKernel("X", 2, [f], DEFAULT_FORMAT)
     circ = TransitionCircuit("X", 2, kernel, EntropyStream(50))
-    asm = TransitionAssembly([circ], set(), [["X"]])
+    asm = TransitionAssembly([circ], [["X"]])
     trace = run(asm, 50_000)
     assert abs(np.mean(trace.column("X")) - 0.75) < 0.01
 
@@ -377,7 +377,7 @@ def test_set_temperature_rejects_nonpositive(kernel, temperature):
 def test_initial_state_is_checked_against_the_domains(state):
     asm = compile_graph(fork_graph(), seed=42)
     with pytest.raises(DomainError):
-        TransitionAssembly(list(asm.circuits.values()), asm.edges, asm.schedule,
+        TransitionAssembly(list(asm.circuits.values()), asm.schedule,
                            state=state)
 
 
@@ -387,7 +387,7 @@ def _zam_assembly(**kwargs):
                         [Factor("za", ["Z", "A"], np.arange(1.0, 10.0).reshape(3, 3), [3, 3]),
                          Factor("am", ["A", "M"], np.ones((3, 3)), [3, 3])])
     asm = compile_graph(graph, seed=44)
-    return TransitionAssembly(list(asm.circuits.values()), asm.edges, asm.schedule,
+    return TransitionAssembly(list(asm.circuits.values()), asm.schedule,
                               meta=asm.meta, **kwargs)
 
 
@@ -429,7 +429,7 @@ def test_a_kernel_serves_one_register_layout():
     circuits = list(asm.circuits.values()) + [TransitionCircuit("B", 2, unary, EntropyStream(3))]
     # "B" sorts between "A" and "M", so A's neighbors would move to other registers
     with pytest.raises(ConfigError, match="kernel bound to other registers"):
-        TransitionAssembly(circuits, asm.edges, asm.schedule + [["B"]])
+        TransitionAssembly(circuits, asm.schedule + [["B"]])
     assert run(asm, 3, burn_in=0).rows == run(_zam_assembly(), 3, burn_in=0).rows
 
 
@@ -437,8 +437,18 @@ def test_a_kernel_reading_a_variable_without_a_circuit_is_named():
     asm = compile_graph(parse(fixture_text("three_var_fork.json")), seed=46)
     # A's kernel reads B and C; C has no circuit here
     with pytest.raises(UnknownVariableError) as err:
-        TransitionAssembly([asm.circuits["A"], asm.circuits["B"]], set(), [["A"], ["B"]])
+        TransitionAssembly([asm.circuits["A"], asm.circuits["B"]], [["A"], ["B"]])
     assert str(err.value) == "kernel of 'A' reads 'C', which has no circuit"
+
+
+def test_the_schedule_check_reads_the_edges_the_kernels_read():
+    # A's kernel reads B and C, so one group of all three updates
+    # interacting circuits together, however the assembly was built
+    asm = compile_graph(fork_graph(), seed=47)
+    one_group = TransitionAssembly(list(asm.circuits.values()), [["A", "B", "C"]])
+    assert one_group.edges == asm.edges == {("A", "B"), ("A", "C")}
+    with pytest.raises(ScheduleViolationError):
+        run(one_group, 10)
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, "1", None],
