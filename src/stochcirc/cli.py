@@ -14,6 +14,8 @@ which makes the output directory, writes them in order, echoes "wrote
 <path>" for each, and then writes <name>_meta.json (command, seed,
 parameters, package version). A run that fails, and a subcommand that
 writes no artifact (fg validate, selftest), leaves no directory behind.
+An --out-dir that is a file, or whose nearest existing ancestor is not a
+directory, exits 2 before any subcommand runs.
 The command is the invoked subcommand path ("dpmm run"), and <name> is
 that path with spaces and dashes turned into underscores ("dpmm_run"). No
 timestamps anywhere.
@@ -200,11 +202,14 @@ def _compiled(ctx, model, evidence, kernel="gibbs"):
 @click.pass_context
 def main(ctx, seed, out_dir, fmt, schedule, fault_rate, threads):
     """Stochastic digital circuits for sampling-based Bayesian inference."""
+    out = pathlib.Path(out_dir)  # _emit makes it: its nearest existing ancestor must be a directory
+    if not next((p for p in out.parents if p.exists()), out).is_dir():
+        raise click.BadParameter(f"{out_dir!r} is beneath a file", param_hint="'--out-dir'")
     ctx.ensure_object(dict)
     ctx.obj.update(seed=seed, fmt=_parse_format(fmt), fmt_given=fmt is not None,
                    schedule=schedule,
                    fault=FaultModel(fault_rate) if fault_rate != 0 else None,
-                   out_dir=pathlib.Path(out_dir))
+                   out_dir=out)
 
 
 @main.group()

@@ -78,14 +78,10 @@ def compile(graph: FactorGraph, kernel: str = "gibbs",
     names = sorted(graph.var_names)
     circuits = []
     table = _EnergyTable(fmt)  # the one set of rows this assembly's kernels read
+    kind = GibbsKernel if kernel == "gibbs" else MhKernel
     for idx, name in enumerate(names):
-        touching = graph.factors_touching(name)
-        arity = graph.arity[name]
-        if kernel == "gibbs":
-            k = GibbsKernel(name, arity, touching, fmt, table=table)
-        else:
-            k = MhKernel(name, arity, touching, fmt, table=table)
-        circuits.append(TransitionCircuit(name, arity, k, master.fork(idx)))
+        k = kind(name, graph.arity[name], graph.factors_touching(name), fmt, table=table)
+        circuits.append(TransitionCircuit(k, master.fork(idx)))
     coloring = color_interaction_graph(graph.var_names, graph.interaction_edges())
     if schedule == "parallel":
         groups = schedule_from_coloring(coloring)

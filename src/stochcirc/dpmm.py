@@ -53,8 +53,8 @@ class DpmmState:
                  beta_on: float = 0.5, beta_off: float = 0.5):
         if not (0 < alpha < math.inf):
             raise ConfigError(f"concentration must be finite and positive, got {alpha}")
-        if not (0 < beta_on < math.inf and 0 < beta_off < math.inf):
-            raise ConfigError("beta pseudo-counts must be finite and positive")
+        if not (0 < beta_on and 0 < beta_off and beta_on + beta_off < math.inf):
+            raise ConfigError("beta pseudo-counts and their sum must be finite and positive")
         if dim < 0:
             raise ConfigError(f"dimension must be nonnegative, got {dim}")
         self.dim = dim

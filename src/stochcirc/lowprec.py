@@ -273,15 +273,19 @@ def truncated_distribution(probs: np.ndarray, fmt: EnergyFormat) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def truncation_kl(probs, fmt: EnergyFormat) -> float:
-    """Accuracy loss of the gate on a distribution, in bits.
+def truncation_kl(probs, fmt: EnergyFormat) -> np.ndarray | float:
+    """Accuracy loss of the gate on a distribution, in bits, along the last
+    axis: one float for a distribution, n for a (n, K) batch.
 
     Measured as KL(implemented || exact): the implemented distribution's
     support is always contained in the exact one's, so the divergence is
     finite even when truncation drops outcomes.
     """
     p = np.asarray(probs, dtype=float)
-    return relative_entropy(truncated_distribution(p, fmt), p)
+    q = truncated_distribution(p, fmt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = q * (np.log2(q) - np.log2(p))
+    return np.where(q > 0.0, terms, 0.0).sum(axis=-1)
 
 
 # --- precision sweep -------------------------------------------------------
@@ -354,15 +358,6 @@ def _bin_probs(target_bits: float, k: int, n_dists: int, rng: np.random.Generato
     return g / totals[:, None]
 
 
-def _batch_kl(probs: np.ndarray, fmt: EnergyFormat) -> np.ndarray:
-    """truncation_kl over a (n, K) batch, vectorized."""
-    q = truncated_distribution(probs, fmt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = q * (np.log2(q) - np.log2(probs))
-    terms = np.where(q > 0.0, terms, 0.0)
-    return terms.sum(axis=1)
-
-
 def precision_sweep(
     k: int = 1000,
     n_dists: int = 10_000,
@@ -392,7 +387,7 @@ def precision_sweep(
         rng = np.random.default_rng(master.fork(bin_idx).next_bits(64))
         probs = _bin_probs(float(target), k, n_dists, rng)
         for fmt in formats:
-            kl = _batch_kl(probs, fmt)
+            kl = truncation_kl(probs, fmt)
             rows.append(
                 SweepRow(
                     entropy_bits=float(target),

@@ -86,10 +86,11 @@ def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,
         circ = circuits[i]
         winner, times = _race(_cpt_row(circ.kernel, snapshot)[2], circ.stream)
         if record_raster:
+            var = circ.var
             for unit, t in enumerate(times):
                 if math.isfinite(t):
-                    raster.events.append((epoch, epoch + t, circ.var, unit))
-            raster.transitions.append((epoch, epoch + times[winner], circ.var, winner))
+                    raster.events.append((epoch, epoch + t, var, unit))
+            raster.transitions.append((epoch, epoch + times[winner], var, winner))
         return winner
 
     trace, epochs = _sweep(assembly, sweeps, burn_in, thin, update)

@@ -1,11 +1,11 @@
 """Stochastic transition circuits: state registers driven by sampling kernels.
 
-A transition circuit pairs one variable's register with a kernel that, given
-the neighbors' current values, draws the next register value. Circuits
-compose into assemblies scheduled in groups; the discipline is that no two
-circuits in the same group may interact, so every group updates against an
-immutable snapshot taken at group start and parallel execution is exactly
-equivalent to any serialization of the group.
+A transition circuit is a kernel, which names a register's variable and
+domain and draws its next value given the neighbors' values, and the stream
+it draws from. Circuits compose into assemblies scheduled in groups; no two
+circuits in a group may interact, which is checked when the assembly is
+built, so every group updates against a snapshot taken at group start and
+parallel execution is exactly equivalent to any serialization of the group.
 
 Kernels work in the energy domain. Each factor touching the variable is
 specialized at build time: its table is reorganized so the variable's axis
@@ -300,6 +300,11 @@ class _Kernel:
         self.sat, self.impossible, self.unit = (
             (math.inf, math.inf, 1) if fmt is None else (fmt.max_raw, None, 1 << fmt.frac))
 
+    def set_temperature(self, temperature: float):
+        """Set T on the kernel's table, so on every kernel that shares it: in
+        a compiled assembly, all of them."""
+        self.table.set_temperature(temperature)
+
 
 class GibbsKernel(_Kernel):
     """Samples the variable's full conditional given its neighbors."""
@@ -309,11 +314,6 @@ class GibbsKernel(_Kernel):
         if fmt is not None:
             check_weight_width(fmt)
         super().__init__(var, arity, factors, fmt, table)
-
-    def set_temperature(self, temperature: float):
-        """Set T on the kernel's table, so on every kernel that shares it: in
-        a compiled assembly, all of them."""
-        self.table.set_temperature(temperature)
 
     def conditional_energies(self, snapshot):
         """Raw (fixed-point) or float energies of each candidate value.
@@ -383,10 +383,6 @@ class MhKernel(_Kernel):
             proposal = (proposal / proposal.sum(axis=1, keepdims=True)).tolist()
         self._proposal = proposal
 
-    def set_temperature(self, temperature: float):
-        """Set T on the kernel's table, as GibbsKernel.set_temperature does."""
-        self.table.set_temperature(temperature)
-
     def tabulate(self, snapshot) -> list:
         """The conditional's CPT row: every value's energy (_part_sums)."""
         return _part_sums(self, snapshot)
@@ -426,10 +422,18 @@ class FaultModel:
 
 @dataclass
 class TransitionCircuit:
-    var: str
-    arity: int
-    kernel: object
+    """A state register: the kernel names its variable and domain, and draws from stream."""
+
+    kernel: _Kernel
     stream: EntropyStream
+
+    @property
+    def var(self) -> str:
+        return self.kernel.var
+
+    @property
+    def arity(self) -> int:
+        return self.kernel.arity
 
     @property
     def register_bits(self) -> int:
@@ -440,11 +444,13 @@ class TransitionAssembly:
     """Circuits plus interaction graph, schedule groups, and clamps.
 
     The interaction graph, edges, comes from the kernels: a sorted name pair
-    for each variable a circuit's factor parts read, so the schedule check
-    sees what the kernels read. The registers are one int64 vector, values,
-    in the sorted-name order of circuits, and index maps a name to its
-    register. Kernel parts are bound to read neighbors by register index, so
-    a kernel serves one register layout. A scan_stream, when set, switches
+    for each variable a circuit's factor parts read. The schedule is checked
+    against it when the assembly is built: a group of interacting circuits
+    raises ScheduleViolationError, then a name with no circuit DomainError.
+    The registers are one int64 vector, values, in the sorted-name order of
+    circuits, and index maps a name to its register. Kernel parts are bound
+    to read neighbors by register index, so a kernel serves one register
+    layout. A scan_stream, when set, switches
     run() to random-scan mode: each sweep draws variable indices uniformly
     (a mixture hybrid kernel) instead of cycling the schedule groups.
     """
@@ -477,8 +483,15 @@ class TransitionAssembly:
                 self.edges.update(tuple(sorted((circ.var, n))) for n in part.neighbors)
             if circ.kernel.blanket is not None:
                 circ.kernel.blanket = _blanket(circ.kernel.parts)
+        violations = validate_schedule(self)
+        if violations:
+            raise ScheduleViolationError(
+                f"schedule updates interacting circuits together: {violations}", violations)
+        for group in self.schedule:
+            for name in group:
+                if name not in self.circuits:
+                    raise DomainError(f"schedule names unknown variable {name!r}")
         self.meta = dict(meta or {})
-        self._validated = False
         self._lanes = None  # _lower(self), built on the first run
 
     @property
@@ -757,18 +770,6 @@ def _sweep(assembly: TransitionAssembly, sweeps: int, burn_in: int | None,
         raise ConfigError(f"thin must be >= 1, got {thin}")
     if burn_in is not None and burn_in < 0:
         raise ConfigError(f"burn-in must be nonnegative, got {burn_in}")
-    if not assembly._validated:
-        violations = validate_schedule(assembly)
-        if violations:
-            raise ScheduleViolationError(
-                f"schedule updates interacting circuits together: {violations}",
-                violations,
-            )
-        for group in assembly.schedule:
-            for name in group:
-                if name not in assembly.circuits:
-                    raise DomainError(f"schedule names unknown variable {name!r}")
-        assembly._validated = True
     if burn_in is None:
         burn_in = 10 * len(assembly.circuits)
     values, index, clamped = assembly.values, assembly.index, assembly.clamped

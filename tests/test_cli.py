@@ -637,7 +637,8 @@ def test_fault_rate_outside_unit_interval_exit_6(runner, tmp_path, model_file, r
 
 
 @pytest.mark.parametrize("args", [["--alpha", "nan"], ["--alpha", "inf"],
-                                  ["--beta-on", "nan"], ["--beta-off", "inf"]])
+                                  ["--beta-on", "nan"], ["--beta-off", "inf"],
+                                  ["--beta-on", "1e308", "--beta-off", "1e308"]])
 def test_non_finite_dpmm_prior_exit_6(runner, tmp_path, model_file, args):
     output = _invoke_rejected(runner, tmp_path, model_file,
                               ["dpmm", "run", "{data}", "--sweeps", "2"] + args)
@@ -740,3 +741,20 @@ def test_a_model_file_named_dash_is_read_as_that_file(runner, tmp_path, monkeypa
                            input="")
     assert result.exit_code == 0, result.output
     assert Path("out/marginals.csv").read_text().startswith("variable,value")
+
+
+@pytest.mark.parametrize("args", [
+    ["query", "{model}", "--sweeps", "10"], ["stereo", "{pgm}", "{pgm}", "-d", "2"],
+    ["fg", "validate", "{model}"],
+], ids=["query", "stereo", "fg-validate"])
+def test_an_output_directory_beneath_a_file_exits_2(runner, tmp_path, args):
+    paths = {"model": tmp_path / "fork.json", "pgm": tmp_path / "r.pgm"}
+    paths["model"].write_text(fixture_text("three_var_fork.json"))
+    write_pgm(paths["pgm"], np.full((4, 4), 255, np.uint8))
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["--out-dir", str(paths["model"] / "sub")] + [a.format(**paths) for a in args]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "is beneath a file" in result.output
+    assert sorted(tmp_path.rglob("*")) == before

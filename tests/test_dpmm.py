@@ -286,7 +286,8 @@ def test_idx_reader_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize("prior", [{"alpha": float("nan")}, {"alpha": float("inf")},
-                                   {"beta_on": float("nan")}, {"beta_off": float("inf")}])
+                                   {"beta_on": float("nan")}, {"beta_off": float("inf")},
+                                   {"beta_on": 1e308, "beta_off": 1e308}])
 def test_state_rejects_non_finite_priors(prior):
     with pytest.raises(ConfigError, match="finite and positive"):
         DpmmState(4, **prior)

@@ -145,7 +145,7 @@ def test_lanes_on_a_table_that_grew_after_an_earlier_lowering(monkeypatch):
                                    table.fmt, table=table)
             for i in range(LANE_MIN_WIDTH)]
         master = EntropyStream(18)
-        circuits = [transition.TransitionCircuit(k.var, k.arity, k, master.fork(i))
+        circuits = [transition.TransitionCircuit(k, master.fork(i))
                     for i, k in enumerate(kernels)]
         return transition.TransitionAssembly(circuits, [[c.var for c in circuits]])
 

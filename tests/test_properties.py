@@ -545,11 +545,13 @@ def cli_files(tmp_path_factory):
 @given(rng=st.randoms(use_true_random=True))
 def test_cli_arguments_end_in_a_documented_exit_code(cli_files, rng):
     """Any argv of small sizes, junk values and awkward input files (a
-    directory, bytes that are not UTF-8, a cut-off PGM, a NaN CPT) exits 0
-    or 2-6 with no traceback, and a run that fails leaves no output
-    directory."""
+    directory, bytes that are not UTF-8, a cut-off PGM, a NaN CPT), with
+    now and then an output directory beneath an input file, exits 0 or 2-6
+    with no traceback, and a run that fails leaves no output directory."""
     files, base, serial = cli_files
     out = base / f"out{next(serial)}"
+    if rng.random() < 0.1:  # now and then beneath an input file or the directory
+        out = base / rng.choice(sorted(files)) / out.name
 
     def value(values):  # the usual file or value; now and then any file, or junk
         if isinstance(values, str):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -275,11 +276,9 @@ def test_triangle_single_group_three_violations():
                Factor("xz", ["X", "Z"], pair, [2, 2])]
     graph = FactorGraph(variables, factors)
     asm = compile_graph(graph)
-    asm.schedule = [["X", "Y", "Z"]]
-    asm._validated = False
-    assert len(validate_schedule(asm)) == 3
-    with pytest.raises(ScheduleViolationError):
-        run(asm, 10)
+    with pytest.raises(ScheduleViolationError) as err:
+        TransitionAssembly(list(asm.circuits.values()), [["X", "Y", "Z"]])
+    assert len(err.value.violations) == 3
 
 
 def test_validate_schedule_matches_pairwise_probe_order():
@@ -351,7 +350,7 @@ def test_isolated_variable_assembly():
     # a single unary circuit run directly, without the compiler
     f = Factor("u", ["X"], [1.0, 3.0], [2])
     kernel = GibbsKernel("X", 2, [f], DEFAULT_FORMAT)
-    circ = TransitionCircuit("X", 2, kernel, EntropyStream(50))
+    circ = TransitionCircuit(kernel, EntropyStream(50))
     asm = TransitionAssembly([circ], [["X"]])
     trace = run(asm, 50_000)
     assert abs(np.mean(trace.column("X")) - 0.75) < 0.01
@@ -426,7 +425,7 @@ def test_clamp_writes_the_register_before_the_next_run():
 def test_a_kernel_serves_one_register_layout():
     asm = _zam_assembly()
     unary = GibbsKernel("B", 2, [Factor("u", ["B"], [1.0, 2.0], [2])], DEFAULT_FORMAT)
-    circuits = list(asm.circuits.values()) + [TransitionCircuit("B", 2, unary, EntropyStream(3))]
+    circuits = list(asm.circuits.values()) + [TransitionCircuit(unary, EntropyStream(3))]
     # "B" sorts between "A" and "M", so A's neighbors would move to other registers
     with pytest.raises(ConfigError, match="kernel bound to other registers"):
         TransitionAssembly(circuits, asm.schedule + [["B"]])
@@ -445,10 +444,34 @@ def test_the_schedule_check_reads_the_edges_the_kernels_read():
     # A's kernel reads B and C, so one group of all three updates
     # interacting circuits together, however the assembly was built
     asm = compile_graph(fork_graph(), seed=47)
-    one_group = TransitionAssembly(list(asm.circuits.values()), [["A", "B", "C"]])
-    assert one_group.edges == asm.edges == {("A", "B"), ("A", "C")}
+    assert asm.edges == {("A", "B"), ("A", "C")}
     with pytest.raises(ScheduleViolationError):
-        run(one_group, 10)
+        TransitionAssembly(list(asm.circuits.values()), [["A", "B", "C"]])
+
+
+def test_the_schedule_is_checked_when_the_assembly_is_built():
+    circuits = list(compile_graph(fork_graph(), seed=48).circuits.values())
+    with pytest.raises(DomainError, match="schedule names unknown variable 'Z'"):
+        TransitionAssembly(circuits, [["A"], ["B", "C", "Z"]])
+    # a violation is reported before an unknown name
+    with pytest.raises(ScheduleViolationError,
+                       match=r"interacting circuits together: \[\('A', 'B', 0\)\]"):
+        TransitionAssembly(circuits, [["A", "B", "Z"], ["C"]])
+
+
+def test_a_circuit_takes_its_domain_from_its_kernel():
+    # each circuit is its kernel and its stream, so a register's domain is
+    # stated once, by the kernel: arity 2 for every variable of the fork
+    assert [f.name for f in dataclasses.fields(TransitionCircuit)] == ["kernel", "stream"]
+    asm = compile_graph(fork_graph(), seed=49)
+    circuits = [TransitionCircuit(c.kernel, c.stream) for c in asm.circuits.values()]
+    rebuilt = TransitionAssembly(circuits, asm.schedule)
+    for name in rebuilt.names:
+        assert rebuilt.circuits[name].arity == 2
+        with pytest.raises(DomainError, match=f"value 2 outside domain of '{name}'"):
+            rebuilt.clamp(name, 2)
+        with pytest.raises(DomainError, match=f"value 2 outside domain of '{name}'"):
+            TransitionAssembly(circuits, asm.schedule, state={name: 2})
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, "1", None],
