@@ -64,7 +64,6 @@ class DpmmState:
         self.data: list[np.ndarray] = []
         self.assignments: list[int | None] = []
         self.clusters: dict[int, ClusterStats] = {}
-        self.ingest_log: list[int] = []
         self._next_cluster = 0
         # cached likelihood rows of the live clusters, in ascending id order,
         # then the new-cluster row
@@ -99,9 +98,7 @@ class DpmmState:
         """Register a datum without assigning it; returns its index."""
         self.data.append(self.check_datum(datum))
         self.assignments.append(None)
-        idx = len(self.data) - 1
-        self.ingest_log.append(idx)
-        return idx
+        return len(self.data) - 1
 
     def _log_terms(self, n: int, c: np.ndarray):
         """-log2(n) and the log2 predictive of an on and of an off pixel

@@ -361,15 +361,15 @@ def _bin_probs(target_bits: float, k: int, n_dists: int, rng: np.random.Generato
 def precision_sweep(
     k: int = 1000,
     n_dists: int = 10_000,
-    entropy_grid=None,
     formats=None,
     seed: int = 0,
 ) -> list[SweepRow]:
     """Measure truncation KL across entropy bins and fixed-point formats.
 
-    Distributions are stratified by target entropy: each bin draws from a
-    symmetric Dirichlet whose concentration is solved so the expected draw
-    entropy matches the target, plus exact one-hot and uniform endpoints.
+    Distributions are stratified by target entropy, one bin per entry of
+    default_entropy_grid(k): each bin draws from a symmetric Dirichlet whose
+    concentration is solved so the expected draw entropy matches the
+    target, plus exact one-hot and uniform endpoints.
     The analysis-side draws come from a numpy generator seeded from an
     EntropyStream fork so runs stay reproducible from one master seed.
     """
@@ -377,13 +377,11 @@ def precision_sweep(
         raise ConfigError(f"need at least two outcomes, got {k}")
     if n_dists < 1:
         raise ConfigError(f"need at least one distribution per bin, got {n_dists}")
-    if entropy_grid is None:
-        entropy_grid = default_entropy_grid(k)
     if formats is None:
         formats = [EnergyFormat(4, 2), EnergyFormat(6, 3), EnergyFormat(8, 4), EnergyFormat(10, 5)]
     master = EntropyStream(seed)
     rows = []
-    for bin_idx, target in enumerate(entropy_grid):
+    for bin_idx, target in enumerate(default_entropy_grid(k)):
         rng = np.random.default_rng(master.fork(bin_idx).next_bits(64))
         probs = _bin_probs(float(target), k, n_dists, rng)
         for fmt in formats:

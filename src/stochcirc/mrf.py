@@ -5,7 +5,7 @@ with a per-site evidence cost vector and truncated-linear smoothness
 potentials on the 4-connected edges:
 
     f_smooth(a, b) = lambda * min(|a - b|, tau)
-    f_evidence(i, j, d) = min(|L(i,j) - R(i, j-d)|, c_max) / evidence_scale
+    f_evidence(i, j, d) = min(|L(i,j) - R(i, j-d)|, EVIDENCE_CAP) / EVIDENCE_SCALE
 
 Evidence costs and pairwise penalties are energies in bits. The lattice
 compiles to a factor graph whose chromatic schedule is the two-phase
@@ -39,8 +39,8 @@ from .compiler import compile as compile_graph
 from .entropy import fork_states
 from .errors import ConfigError, NoSupportError, ShapeError
 from .factorgraph import Factor, FactorGraph, Variable
-from .lowprec import DEFAULT_FORMAT, EnergyFormat, weight_bits
-from .transition import LANE_WEIGHT_BITS, _energy_rows, _EnergyTable, _LaneGroup, run
+from .lowprec import DEFAULT_FORMAT, EnergyFormat
+from .transition import _energy_rows, _EnergyTable, _LaneGroup, _lanes_fit, run
 
 EVIDENCE_CAP = 32.0       # gray levels; bounds energies for fixed point
 EVIDENCE_SCALE = 8.0      # gray levels per bit of energy
@@ -76,16 +76,15 @@ def motion_offsets(d: int) -> list[tuple[int, int]]:
     return out[:d]
 
 
-def evidence_from_images(pair: ImagePair, d: int, mode: str = "stereo",
-                         c_max: float = EVIDENCE_CAP,
-                         scale: float = EVIDENCE_SCALE) -> np.ndarray:
-    """Per-site cost vectors: truncated absolute difference per candidate.
+def evidence_from_images(pair: ImagePair, d: int, mode: str = "stereo") -> np.ndarray:
+    """Per-site cost vectors in bits: the absolute difference per candidate,
+    truncated at EVIDENCE_CAP gray levels, over EVIDENCE_SCALE.
 
     Candidate k compares site (i, j) of the first image with site
     (i + dy, j + dx) of the second for its offset (dy, dx): stereo
     disparity k is the offset (0, -k), and motion candidates are 2-D
-    offsets in ring order. Out-of-bounds candidates cost c_max (border
-    rule), so an offset past the image edge costs c_max at every site.
+    offsets in ring order. Out-of-bounds candidates cost the cap (border
+    rule), so an offset past the image edge costs the cap at every site.
     """
     if d < 1:
         raise ConfigError(f"need at least one candidate, got {d}")
@@ -100,15 +99,15 @@ def evidence_from_images(pair: ImagePair, d: int, mode: str = "stereo",
         raise ConfigError(f"unknown evidence mode {mode!r}")
     left = pair.first.astype(float)
     right = pair.second.astype(float)
-    y = np.full((h, w, d), c_max)
+    y = np.full((h, w, d), EVIDENCE_CAP)
     for k, (dy, dx) in enumerate(offsets):
         ys = slice(max(0, -dy), max(0, min(h, h - dy)))
         xs = slice(max(0, -dx), max(0, min(w, w - dx)))
         ys2 = slice(max(0, dy), max(0, min(h, h + dy)))
         xs2 = slice(max(0, dx), max(0, min(w, w + dx)))
         diff = np.abs(left[ys, xs] - right[ys2, xs2])
-        y[ys, xs, k] = np.minimum(diff, c_max)
-    return y / scale
+        y[ys, xs, k] = np.minimum(diff, EVIDENCE_CAP)
+    return y / EVIDENCE_SCALE
 
 
 def smoothness_energy(x_a: int, x_b: int, lam: float, tau: float) -> float:
@@ -226,18 +225,18 @@ class _Checkerboard:
 
     Sites are numbered row-major, as the compiled assembly's registers are,
     and the lanes' value vector is the label vector state. The energy table
-    holds every site's unary rows, the smoothness rows a site reads for its
-    east or south neighbor (the pair table's first axis is the site's),
-    those for its west or north neighbor (its second axis), and a zero
-    block. Each site has five parts: its unary rows and one per stencil
-    neighbor, where a missing neighbor reads the zero block; part p's row
-    starts at offset[p, s] + label[nbr[p, s]] * stride[p, s]. These are the
-    rows, and the (sorted-name, so row-major) stream forks, that compile
-    gives each site. Group 0 is the greedy coloring's color 0: the parity of
+    holds every site's unary rows, the rows of the lattice's
+    smoothness_table that a site reads for its east or south neighbor (the
+    table's first axis is the site's), those for its west or north neighbor
+    (its second axis), and a zero block. Each site has five parts: its
+    unary rows and one per stencil neighbor, where a missing neighbor reads
+    the zero block; part p's row starts at offset[p, s] + label[nbr[p, s]] *
+    stride[p, s]. These are the rows, and the (sorted-name, so row-major)
+    stream forks, that compile gives each site. Group 0 is the greedy coloring's color 0: the parity of
     the first site of maximum degree.
     """
 
-    def __init__(self, mrf: LatticeMRF, pair: np.ndarray, fmt: EnergyFormat, seed: int):
+    def __init__(self, mrf: LatticeMRF, fmt: EnergyFormat, seed: int):
         h, w, d = mrf.height, mrf.width, mrf.labels
         n = h * w
         states = fork_states(seed, n)   # checks the seed first, as compile does
@@ -246,6 +245,7 @@ class _Checkerboard:
         if (peak <= 0.0).any():
             i, j = divmod(int((peak[:, 0] <= 0.0).argmax()), w)
             raise NoSupportError(f"factor 'ev_{mrf.site_name(i, j)}' has an all-zero table")
+        pair = mrf.smoothness_table()
         table = self.table = _EnergyTable(fmt)
         unary_at = table.add("unary", _energy_rows, unary, peak)[0]
         first = table.add("site first", _energy_rows, np.moveaxis(pair, 0, -1), pair.max())[0]
@@ -316,9 +316,8 @@ def _solve(mrf: LatticeMRF, sweeps: int, seed: int, fmt: EnergyFormat | None,
     """solve(), plus the sampler that ran it; its streams() gives every
     site's final (stream word, draws consumed) in row-major order."""
     ladder = _ladder(sweeps, anneal, anneal_rungs)
-    if (schedule == "parallel" and fmt is not None
-            and weight_bits(fmt, mrf.labels) <= LANE_WEIGHT_BITS):
-        sampler = _Checkerboard(mrf, mrf.smoothness_table(), fmt, seed)
+    if schedule == "parallel" and _lanes_fit(fmt, mrf.labels):
+        sampler = _Checkerboard(mrf, fmt, seed)
     else:
         sampler = _Compiled(mrf, fmt, seed, schedule)
     trace_energy = []

@@ -38,13 +38,14 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(height, width).copy()
 
 
-def write_pgm(path, image: np.ndarray, maxval: int = 255):
+def write_pgm(path, image: np.ndarray):
+    """Write a 2-D image of values in [0, 255] as an 8-bit P5 file, maxval 255."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ConfigError("PGM image must be 2-D")
-    if image.min() < 0 or image.max() > maxval:
-        raise ConfigError(f"pixel values outside [0, {maxval}]")
-    header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode()
+    if image.min() < 0 or image.max() > 255:
+        raise ConfigError("pixel values outside [0, 255]")
+    header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(image.astype(np.uint8).tobytes())

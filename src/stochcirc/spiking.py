@@ -67,15 +67,14 @@ class SpikeRaster:
 
 
 def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,
-                              burn_in: int | None = None, thin: int = 1,
-                              record_raster: bool = True):
+                              burn_in: int | None = None, record_raster: bool = True):
     """Run an assembly with every transition realized as a spike race.
 
     Only Gibbs kernels expose the per-value conditional energies a race
     needs; a race reads its rates from the kernel's CPT row. Returns
     (SpikeRaster, Trace); the trace is a valid Gibbs trajectory with the
-    same recording rules as transition.run. Each epoch (one schedule group,
-    or one random-scan draw) starts at its index.
+    same recording rules as transition.run at thin 1. Each epoch (one
+    schedule group, or one random-scan draw) starts at its index.
     """
     circuits = list(assembly.circuits.values())
     if not all(isinstance(circ.kernel, GibbsKernel) for circ in circuits):
@@ -93,6 +92,6 @@ def simulate_spiking_assembly(assembly: TransitionAssembly, sweeps: int,
             raster.transitions.append((epoch, epoch + times[winner], var, winner))
         return winner
 
-    trace, epochs = _sweep(assembly, sweeps, burn_in, thin, update)
+    trace, epochs = _sweep(assembly, sweeps, burn_in, 1, update)
     trace.meta["epochs"] = epochs
     return raster, trace

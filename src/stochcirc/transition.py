@@ -36,9 +36,9 @@ circuits runs as lanes on it: a _LaneGroup of index arrays into their table
 and into the vector, with one uint64 xorshift word per circuit, whose one
 step updates every lane at once, bit-identical to updating the circuits one
 at a time; its arrays are candidate-major, lanes last. _lower lowers wide
-groups once per assembly, when lowprec.weight_bits says their weights fit
-int64; each run binds their live members by slicing the lane axis. mrf
-lowers a lattice to two such groups on a table of its own.
+groups once per assembly, when _lanes_fit says their weights fit int64;
+each run binds their live members by slicing the lane axis. mrf lowers a
+lattice to two such groups on a table of its own, under the same rule.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class _Kernel:
     unit is one bit of energy, 2^f or 1."""
 
     def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
-                 table: _EnergyTable | None):
+                 table: _EnergyTable | None = None):
         if arity < 1:
             raise ConfigError(f"variable {var!r} has arity {arity}")
         table = _EnergyTable(fmt) if table is None else table
@@ -320,8 +320,9 @@ class GibbsKernel(_Kernel):
 
         Fixed-point sums run in a wide accumulator (a zero weight in any
         part makes the value impossible), are renormalized to minimum zero,
-        and only then clamp back into the representable range; values still
-        beyond range after renormalization saturate to "impossible".
+        and only then clamp back into the representable range: a possible
+        value still beyond it after renormalization clamps to max_raw - 1,
+        the largest possible energy, never to "impossible".
         """
         sums = _part_sums(self, snapshot)
         if self.fmt is None:
@@ -362,36 +363,20 @@ class GibbsKernel(_Kernel):
 
 
 class MhKernel(_Kernel):
-    """Metropolis-Hastings kernel with a symmetric proposal (uniform default).
+    """Metropolis kernel with the uniform proposal, next_below(arity).
 
-    Acceptance is computed in the energy domain: accept v' over v with
-    probability min(1, 2^(e(v) - e(v'))), e a CPT row entry over unit. On a
-    conditional with no support a step raises NoSupportError, as a Gibbs
-    step does, unless it proposes the current value at arity two or more."""
-
-    def __init__(self, var: str, arity: int, factors, fmt: EnergyFormat | None,
-                 proposal=None, table: _EnergyTable | None = None):
-        super().__init__(var, arity, factors, fmt, table)
-        if proposal is not None:
-            proposal = np.asarray(proposal, dtype=float)
-            if proposal.shape != (arity, arity):
-                raise ConfigError("proposal must be an arity x arity table")
-            if np.any(proposal <= 0):
-                raise ConfigError("proposal must give positive probability everywhere")
-            if not np.allclose(proposal, proposal.T):
-                raise ConfigError("only symmetric proposals are supported")
-            proposal = (proposal / proposal.sum(axis=1, keepdims=True)).tolist()
-        self._proposal = proposal
+    The proposal is symmetric, so acceptance needs no Hastings ratio; it is
+    computed in the energy domain: accept v' over v with probability
+    min(1, 2^(e(v) - e(v'))), e a CPT row entry over unit. On a conditional
+    with no support a step raises NoSupportError, as a Gibbs step does,
+    unless it proposes the current value at arity two or more."""
 
     def tabulate(self, snapshot) -> list:
         """The conditional's CPT row: every value's energy (_part_sums)."""
         return _part_sums(self, snapshot)
 
     def step(self, current: int, snapshot, stream: EntropyStream) -> int:
-        if self._proposal is None:
-            proposed = stream.next_below(self.arity)
-        else:
-            proposed = invert_cdf(self._proposal[current], stream.next_unit())
+        proposed = stream.next_below(self.arity)
         if proposed == current and self.arity > 1:
             return current
         row = _cpt_row(self, snapshot)
@@ -443,10 +428,12 @@ class TransitionCircuit:
 class TransitionAssembly:
     """Circuits plus interaction graph, schedule groups, and clamps.
 
-    The interaction graph, edges, comes from the kernels: a sorted name pair
-    for each variable a circuit's factor parts read. The schedule is checked
-    against it when the assembly is built: a group of interacting circuits
-    raises ScheduleViolationError, then a name with no circuit DomainError.
+    The interaction graph, edges, comes from the kernels: a frozenset of
+    sorted name pairs, one for each variable a circuit's factor parts read.
+    The schedule, a tuple of name tuples, is checked against it when the
+    assembly is built: a group of interacting circuits raises
+    ScheduleViolationError, then a name with no circuit DomainError. Both
+    are read-only, so no schedule runs unchecked.
     The registers are one int64 vector, values, in the sorted-name order of
     circuits, and index maps a name to its register. Kernel parts are bound
     to read neighbors by register index, so a kernel serves one register
@@ -462,8 +449,8 @@ class TransitionAssembly:
         self.names = list(self.circuits)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.values = np.zeros(len(self.names), np.int64)
-        self.edges: set[tuple[str, str]] = set()
-        self.schedule: list[list[str]] = [list(g) for g in schedule]
+        self._schedule = tuple(tuple(g) for g in schedule)
+        edges = set()
         self.clamped: dict[str, int] = {}
         self.scan_stream = scan_stream
         for name, value in dict(state or {}).items():
@@ -480,9 +467,10 @@ class TransitionAssembly:
                 if part.keys not in (part.neighbors, keys):
                     raise ConfigError(f"{circ.var!r}: kernel bound to other registers")
                 part.keys = keys
-                self.edges.update(tuple(sorted((circ.var, n))) for n in part.neighbors)
+                edges.update(tuple(sorted((circ.var, n))) for n in part.neighbors)
             if circ.kernel.blanket is not None:
                 circ.kernel.blanket = _blanket(circ.kernel.parts)
+        self._edges = frozenset(edges)
         violations = validate_schedule(self)
         if violations:
             raise ScheduleViolationError(
@@ -493,6 +481,14 @@ class TransitionAssembly:
                     raise DomainError(f"schedule names unknown variable {name!r}")
         self.meta = dict(meta or {})
         self._lanes = None  # _lower(self), built on the first run
+
+    @property
+    def schedule(self) -> tuple[tuple[str, ...], ...]:
+        return self._schedule
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        return self._edges
 
     @property
     def state(self) -> MappingProxyType:  # a read-only copy, by name
@@ -681,18 +677,23 @@ class _LaneGroup:
             raise _no_support(self.name(int(self.sites[stop])))
 
 
+def _lanes_fit(fmt: EnergyFormat | None, k: int) -> bool:
+    """Whether the lane kernel can weigh k candidates in fmt: a fixed-point
+    format whose weight_bits(fmt, k) is at most LANE_WEIGHT_BITS."""
+    return fmt is not None and weight_bits(fmt, k) <= LANE_WEIGHT_BITS
+
+
 def _lower(assembly: TransitionAssembly) -> dict:
     """{group index: (sites, arrays, table)} for each group the lane kernel
     can take; built once per assembly.
 
     A group qualifies when it has at least LANE_MIN_WIDTH circuits, all
-    Gibbs kernels on one fixed-point table, when weight_bits(fmt, K) for its
-    widest arity K is at most LANE_WEIGHT_BITS, and when no name appears
-    twice in the schedule. sites are the members' registers, and arrays
-    their nbr, stride, offset and pad as _LaneGroup takes them, nbr holding
-    register indices and offset table offsets. Padding parts read a zero
-    block as wide as the group's widest arity, which the lowering adds to
-    the end of the table.
+    Gibbs kernels on one table, when _lanes_fit(fmt, K) for its widest arity
+    K, and when no name appears twice in the schedule. sites are the
+    members' registers, and arrays their nbr, stride, offset and pad as
+    _LaneGroup takes them, nbr holding register indices and offset table
+    offsets. Padding parts read a zero block as wide as the group's widest
+    arity, which the lowering adds to the end of the table.
     """
     names = [n for group in assembly.schedule for n in group]
     if len(set(names)) != len(names):
@@ -704,7 +705,7 @@ def _lower(assembly: TransitionAssembly) -> dict:
         kernels = [assembly.circuits[n].kernel for n in group]
         table = kernels[0].table
         k = max(kern.arity for kern in kernels)
-        if table.fmt is None or weight_bits(table.fmt, k) > LANE_WEIGHT_BITS or any(
+        if not _lanes_fit(table.fmt, k) or any(
                 type(kern) is not GibbsKernel or kern.table is not table for kern in kernels):
             continue
         n_parts = max(1, max(len(kern.parts) for kern in kernels))

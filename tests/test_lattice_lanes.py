@@ -30,7 +30,7 @@ def lattice(h, w, mode, d, seed=3, lam=1.0):
 
 
 def compiled_instead(monkeypatch):
-    monkeypatch.setattr(mrf, "_Checkerboard", lambda m, pair, fmt, seed:
+    monkeypatch.setattr(mrf, "_Checkerboard", lambda m, fmt, seed:
                         mrf._Compiled(m, fmt, seed, "parallel"))
 
 
@@ -73,16 +73,16 @@ def test_no_sweeps_keeps_the_zero_start(monkeypatch):
 @pytest.mark.parametrize("w", range(1, 6))
 def test_groups_are_the_greedy_coloring(h, w):
     m = LatticeMRF(h, w, 2, np.zeros((h, w, 2)))
-    lowered = mrf._Checkerboard(m, m.smoothness_table(), FORMATS[1], 0)
+    lowered = mrf._Checkerboard(m, FORMATS[1], 0)
     names = [name for row in m.site_names() for name in row]
-    groups = [[names[s] for s in group.sites] for group in lowered.groups]
+    groups = tuple(tuple(names[s] for s in group.sites) for group in lowered.groups)
     assert groups == compile_graph(m.to_factor_graph()).schedule
 
 
 def test_lowered_rows_are_the_compiled_rows():
     rng = np.random.default_rng(4)
     m = LatticeMRF(5, 6, 4, rng.uniform(0.0, 5.0, size=(5, 6, 4)), lam=0.7, tau=2.5)
-    lowered = mrf._Checkerboard(m, m.smoothness_table(), FORMATS[1], 0).table
+    lowered = mrf._Checkerboard(m, FORMATS[1], 0).table
     asm = compile_graph(m.to_factor_graph(), fmt=FORMATS[1])
     compiled = asm.circuits[asm.names[0]].kernel.table
 

@@ -13,6 +13,7 @@ import math
 import tempfile
 import traceback
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,3 +573,55 @@ def test_cli_arguments_end_in_a_documented_exit_code(cli_files, rng):
         argv, "".join(traceback.format_exception(*result.exc_info)))
     assert result.exit_code in (0, 2, 3, 4, 5, 6), (argv, result.output)
     assert result.exit_code == 0 or not out.exists(), (argv, result.output)
+
+
+#: Tokens the reader fuzz splices past a header: numbers that are not 0/1
+#: integers of the usual kind, separators, a comment mark and bytes that are
+#: not UTF-8.
+READER_TOKENS = (b"99999999999999999999", b"1e0", b"0x1", b"-0", b"-1", b"2", b"0.5",
+                 b"nan", b" ", b"\n", b"\t", b"\r\n", b"#", b",", b"\x00", b"\xff\xfe")
+#: Valid headers of an 8x8 8-bit PGM (the fixture's size), in the layouts a
+#: header may take.
+PGM_HEADERS = (b"P5\n8 8\n255\n", b"P5 8 8 255 ", b"P5\n# a comment\n8 8\n255\n",
+               b"P5\n8\n8\n200\n")
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(reader=st.sampled_from(["stereo", "dpmm run"]), data=st.data())
+def test_input_readers_past_their_headers_end_in_a_documented_exit_code(cli_files, reader,
+                                                                         data):
+    """A valid PGM header, or the first row of a 0/1 text file, followed by
+    the usual body with bytes overwritten, spliced in or cut: stereo and
+    dpmm run exit 0 or 2-6 with no traceback, and a run that fails leaves
+    no output directory."""
+    files, base, serial = cli_files
+    if reader == "stereo":
+        head = data.draw(st.sampled_from(PGM_HEADERS))
+        body = bytearray(Path(files["left.pgm"]).read_bytes()[len(PGM_HEADERS[0]):])
+    else:
+        head, _, rest = Path(files["data.txt"]).read_bytes().partition(b"\n")
+        head += b"\n"
+        body = bytearray(rest)
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(body)))
+        action = data.draw(st.sampled_from(["overwrite", "splice", "cut"]))
+        if action == "splice":
+            body[at:at] = data.draw(st.sampled_from(READER_TOKENS))
+        elif action == "cut":
+            del body[at:at + data.draw(st.integers(1, 70))]
+        elif at < len(body):
+            body[at] = data.draw(st.integers(0, 255))
+    content = head + bytes(body)
+    n = next(serial)
+    mutated = base / f"reader{n}"
+    mutated.write_bytes(content)
+    out = base / f"out{n}"
+    if reader == "stereo":
+        argv = ["stereo", str(mutated), files["right.pgm"], "-d", "2", "--sweeps", "1"]
+    else:
+        argv = ["dpmm", "run", str(mutated), "--sweeps", "1", "--burn-in", "0"]
+    result = CliRunner().invoke(main, ["--out-dir", str(out)] + argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        content, "".join(traceback.format_exception(*result.exc_info)))
+    assert result.exit_code in (0, 2, 3, 4, 5, 6), (content, result.output)
+    assert result.exit_code == 0 or not out.exists(), (content, result.output)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -287,16 +288,14 @@ def test_validate_schedule_matches_pairwise_probe_order():
     rng = np.random.default_rng(7)
     names = [f"v{i}" for i in range(12)]
     for _ in range(50):
-        asm = compile_graph(fork_graph())
-        asm.edges = {tuple(sorted(rng.choice(names, 2, replace=False)))
-                     for _ in range(15)}
-        asm.edges.add(("v3", "v3"))
-        asm.schedule = [list(rng.choice(names, int(rng.integers(1, 7))))
-                        for _ in range(4)]
-        expected = [(a, b, gi) for gi, group in enumerate(asm.schedule)
+        edges = {tuple(sorted(rng.choice(names, 2, replace=False))) for _ in range(15)}
+        edges.add(("v3", "v3"))
+        schedule = [list(rng.choice(names, int(rng.integers(1, 7)))) for _ in range(4)]
+        probe = types.SimpleNamespace(schedule=schedule, edges=edges)
+        expected = [(a, b, gi) for gi, group in enumerate(schedule)
                     for i, a in enumerate(group) for b in group[i + 1:]
-                    if tuple(sorted((a, b))) in asm.edges]
-        assert validate_schedule(asm) == expected
+                    if tuple(sorted((a, b))) in edges]
+        assert validate_schedule(probe) == expected
 
 
 def test_fault_rate_zero_is_bit_identical():
@@ -428,7 +427,7 @@ def test_a_kernel_serves_one_register_layout():
     circuits = list(asm.circuits.values()) + [TransitionCircuit(unary, EntropyStream(3))]
     # "B" sorts between "A" and "M", so A's neighbors would move to other registers
     with pytest.raises(ConfigError, match="kernel bound to other registers"):
-        TransitionAssembly(circuits, asm.schedule + [["B"]])
+        TransitionAssembly(circuits, asm.schedule + (("B",),))
     assert run(asm, 3, burn_in=0).rows == run(_zam_assembly(), 3, burn_in=0).rows
 
 
@@ -459,6 +458,18 @@ def test_the_schedule_is_checked_when_the_assembly_is_built():
         TransitionAssembly(circuits, [["A", "B", "Z"], ["C"]])
 
 
+def test_the_checked_schedule_and_edges_cannot_be_replaced():
+    # both are checked once, when the assembly is built, so a schedule set
+    # afterwards would run unchecked
+    asm = compile_graph(fork_graph(), seed=50)
+    with pytest.raises(AttributeError):
+        asm.schedule = [["A", "B", "C"]]
+    with pytest.raises(AttributeError):
+        asm.edges = frozenset()
+    assert asm.schedule == (("A",), ("B", "C"))
+    assert asm.edges == frozenset({("A", "B"), ("A", "C")})
+
+
 def test_a_circuit_takes_its_domain_from_its_kernel():
     # each circuit is its kernel and its stream, so a register's domain is
     # stated once, by the kernel: arity 2 for every variable of the fork
@@ -481,26 +492,6 @@ def test_register_values_must_be_integers(value):
         _zam_assembly(state={"A": value})
     with pytest.raises(DomainError):
         _zam_assembly().clamp("A", value)
-
-
-def test_mh_explicit_proposal_never_proposes_past_the_domain():
-    # ten normalized 0.1 entries sum to 1 - 2^-53, the largest unit draw
-    flat = Factor("u", ["X"], [1.0] * 10, [10])
-    kernel = MhKernel("X", 10, [flat], DEFAULT_FORMAT, proposal=np.ones((10, 10)))
-    assert kernel.step(0, {"X": 0}, FixedUnitStream(1.0 - 2.0 ** -53)) == 9
-
-
-def test_mh_explicit_proposal_draw_matches_bisection_below_the_row_sum():
-    proposal = np.array([[2.0, 1.0, 3.0], [1.0, 5.0, 1.0], [3.0, 1.0, 2.0]])
-    flat = Factor("u", ["X"], [1.0] * 3, [3])
-    kernel = MhKernel("X", 3, [flat], DEFAULT_FORMAT, proposal=proposal)
-    cdf = np.cumsum(proposal / proposal.sum(axis=1, keepdims=True), axis=1)
-    stream = EntropyStream(5)
-    for _ in range(2000):
-        current = stream.next_below(3)
-        u = stream.next_unit()
-        expected = int(np.searchsorted(cdf[current], u, side="right"))
-        assert kernel.step(current, {"X": current}, FixedUnitStream(u)) == expected
 
 
 @pytest.mark.parametrize("kernel_cls", [GibbsKernel, MhKernel])
