@@ -8,7 +8,9 @@ results.
 
 The global options are parsed once, before any subcommand runs, so a
 malformed --format or a --fault-rate outside [0, 1] exits 6 whatever the
-subcommand. Every input file must exist and be a file, not a directory
+subcommand. --format, --schedule or --fault-rate given to a subcommand that
+never reads it (OPTION_READERS) exits 6 too, rather than being ignored.
+Every input file must exist and be a file, not a directory
 (exit 2). Every subcommand hands its artifacts to one writer, _emit,
 which makes the output directory, writes them in order, echoes "wrote
 <path>" for each, and then writes <name>_meta.json (command, seed,
@@ -24,7 +26,7 @@ Exit codes (EXIT_CODES maps each library and decode failure to 3-6):
     0 success
     1 a selftest check failed
     2 usage error (unknown subcommand or flag, missing file, directory input)
-    3 model parse/validation error, or a model or CPT file not in UTF-8
+    3 model parse/validation error, or an input text file not in UTF-8
     4 no-support error (empty conditional or all-saturated energies)
     5 schedule discipline violation
     6 configuration, domain, or shape error
@@ -38,6 +40,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__, csv_text, fixture_text
 from .compiler import (
@@ -97,6 +100,11 @@ EXIT_CODES = [
 ]
 
 _FILE = click.Path(exists=True, dir_okay=False)  # the type of every input file
+_CHAINS = {"compile", "query", "run", "spike", "stereo", "motion"}
+#: The subcommands that read each of these global options; given to any
+#: other subcommand, the option is refused (exit 6) rather than ignored.
+OPTION_READERS = {"--format": _CHAINS | {"fault-report", "dpmm"}, "--schedule": _CHAINS,
+                  "--fault-rate": {"run"}}
 
 
 class _Main(click.Group):
@@ -207,9 +215,14 @@ def main(ctx, seed, out_dir, fmt, schedule, fault_rate, threads):
         raise click.BadParameter(f"{out_dir!r} is beneath a file", param_hint="'--out-dir'")
     ctx.ensure_object(dict)
     ctx.obj.update(seed=seed, fmt=_parse_format(fmt), fmt_given=fmt is not None,
-                   schedule=schedule,
-                   fault=FaultModel(fault_rate) if fault_rate != 0 else None,
-                   out_dir=out)
+                   schedule=schedule, fault=FaultModel(fault_rate), out_dir=out)
+    sub = ctx.invoked_subcommand
+    for param in ctx.command.params:
+        readers = OPTION_READERS.get(param.opts[0])
+        if (readers is not None and sub not in readers
+                and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
+            raise ConfigError(f"{param.opts[0]} is not read by {sub!r}, only by "
+                              f"{', '.join(sorted(readers))}")
 
 
 @main.group()
@@ -395,8 +408,6 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
     Draws at (16,8) unless --format names another fixed-point format.
     """
     fmt = ctx.obj["fmt"] if ctx.obj["fmt_given"] else DPMM_FORMAT
-    if fmt is None:
-        raise ConfigError("dpmm draws need a fixed-point --format 'b,f', not float")
     if is_idx:
         rows, idx_shape = read_idx_images(data, threshold=binarize)
         if image_shape is None:
@@ -404,6 +415,8 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
     else:
         try:
             rows = np.loadtxt(data, dtype=int, ndmin=2)
+        except UnicodeDecodeError:
+            raise  # not UTF-8 text: exit 3, as for every other input file
         except ValueError as exc:
             raise ShapeError(f"data file must be a 0/1 integer matrix: {exc}") from None
     if rows.size == 0:
@@ -419,10 +432,10 @@ def dpmm_run(ctx, data, alpha, beta_on, beta_off, sweeps, burn_in,
     else:
         shape = (1, rows.shape[1])
     state = DpmmState(rows.shape[1], alpha=alpha, beta_on=beta_on,
-                      beta_off=beta_off)
+                      beta_off=beta_off, fmt=fmt)
     count_hist = {}
     assignments = []
-    chain = gibbs_chain(state, rows, sweeps, burn_in, EntropyStream(ctx.obj["seed"]), fmt)
+    chain = gibbs_chain(state, rows, sweeps, burn_in, EntropyStream(ctx.obj["seed"]))
     for sweep, _ in enumerate(chain):
         k = len(state.clusters)
         count_hist[k] = count_hist.get(k, 0) + 1

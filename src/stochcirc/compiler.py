@@ -134,10 +134,10 @@ def fault_kl_report(graph: FactorGraph, rates=(0.0, 1e-4, 1e-3, 1e-2),
                     sweeps: int = 20_000, seed: int = 0,
                     fmt: EnergyFormat | None = DEFAULT_FORMAT):
     """KL(exact marginals || empirical marginals), summed over variables,
-    for a ladder of register fault rates. The rate-0 row uses no fault model
-    at all, so it doubles as the bit-identical baseline.
+    for a ladder of register fault rates, each checked before the first run.
+    Rate 0 takes no draws, so its row doubles as the bit-identical baseline.
     """
-    faults = [FaultModel(rate) if rate != 0.0 else None for rate in rates]
+    faults = [FaultModel(rate) for rate in rates]
     joint = enumerate_joint(graph)
     rows = []
     for rate, fault in zip(rates, faults):

@@ -6,10 +6,10 @@ statistics (member count and per-pixel on-counts). Reassignment energies
 follow the Chinese restaurant process: an existing cluster k weighs
 n_k * prod_p predictive(x_p), a new cluster weighs alpha * prior
 predictive, with predictive(x=1) = (c + beta_on) / (n + beta_on + beta_off).
-Energies are quantized to fixed point and drawn through the same
-discrete-sample gate as every other sampler here; the default format is
-wider than the global (8, 4) because partition posteriors are sensitive to
-sub-percent weight ratios.
+Energies are quantized to the fixed-point format the state fixes when it is
+built, and drawn through the same discrete-sample gate as every other
+sampler here; the default format is wider than the global (8, 4) because
+partition posteriors are sensitive to sub-percent weight ratios.
 
 The state caches the likelihood terms of its live clusters, one row per
 cluster in ascending id order: -log2(n_k) and the log2 predictive of an on
@@ -47,17 +47,22 @@ class ClusterStats:
 
 
 class DpmmState:
-    """Partition state plus per-cluster sufficient statistics."""
+    """Partition state plus per-cluster sufficient statistics, drawn in the
+    fixed-point format fmt; float (None) and too wide a format are refused."""
 
-    def __init__(self, dim: int, alpha: float = 1.0,
-                 beta_on: float = 0.5, beta_off: float = 0.5):
+    def __init__(self, dim: int, alpha: float = 1.0, beta_on: float = 0.5,
+                 beta_off: float = 0.5, fmt: EnergyFormat | None = DPMM_FORMAT):
         if not (0 < alpha < math.inf):
             raise ConfigError(f"concentration must be finite and positive, got {alpha}")
         if not (0 < beta_on and 0 < beta_off and beta_on + beta_off < math.inf):
             raise ConfigError("beta pseudo-counts and their sum must be finite and positive")
         if dim < 0:
             raise ConfigError(f"dimension must be nonnegative, got {dim}")
+        if fmt is None:
+            raise ConfigError("dpmm draws need a fixed-point format 'b,f', not float")
+        check_weight_width(fmt)
         self.dim = dim
+        self.fmt = fmt
         self.alpha = alpha
         self.beta_on = beta_on
         self.beta_off = beta_off
@@ -85,18 +90,15 @@ class DpmmState:
             raise ShapeError("datum must be binary")
         return on
 
-    def check_datum(self, datum) -> np.ndarray:
-        """The datum as a read-only int8 vector of dim pixels, each 0 or 1."""
-        datum = self._on_mask(datum).astype(np.int8)
-        datum.setflags(write=False)
-        return datum
-
     def n_data(self) -> int:
         return len(self.data)
 
     def add_datum(self, datum) -> int:
-        """Register a datum without assigning it; returns its index."""
-        self.data.append(self.check_datum(datum))
+        """Register a datum of dim pixels, each 0 or 1, as a read-only int8
+        vector without assigning it; returns its index."""
+        datum = self._on_mask(datum).astype(np.int8)
+        datum.setflags(write=False)
+        self.data.append(datum)
         self.assignments.append(None)
         return len(self.data) - 1
 
@@ -225,37 +227,33 @@ def assignment_energies(state: DpmmState, datum) -> tuple[list[float], list[int 
     return energies.tolist(), state._ids + [None]
 
 
-def _draw_assignment(state: DpmmState, idx: int, stream: EntropyStream,
-                     fmt: EnergyFormat):
+def _draw_assignment(state: DpmmState, idx: int, stream: EntropyStream):
     energies, slots = assignment_energies(state, state.data[idx])
     energies = np.array(energies)
-    choice = discrete_sample(EnergyVector.from_energies(energies - energies.min(), fmt),
-                             stream)
+    choice = discrete_sample(EnergyVector.from_energies(energies - energies.min(),
+                                                        state.fmt), stream)
     state.assign(idx, slots[choice])
 
 
-def gibbs_sweep(state: DpmmState, stream: EntropyStream,
-                fmt: EnergyFormat = DPMM_FORMAT) -> DpmmState:
+def gibbs_sweep(state: DpmmState, stream: EntropyStream) -> DpmmState:
     """One full pass: reassign every datum in ascending index order."""
     if state.n_data() < 1:
         raise ConfigError("no data to sweep")
-    check_weight_width(fmt)
     for idx in range(state.n_data()):
         state.remove(idx)
-        _draw_assignment(state, idx, stream, fmt)
+        _draw_assignment(state, idx, stream)
     return state
 
 
 def stream_datum(state: DpmmState, datum, inner_sweeps: int,
-                 stream: EntropyStream, fmt: EnergyFormat = DPMM_FORMAT) -> DpmmState:
+                 stream: EntropyStream) -> DpmmState:
     """Online ingestion: one conditional draw for the newcomer, then sweeps."""
     if inner_sweeps < 0:
         raise ConfigError(f"inner sweeps must be nonnegative, got {inner_sweeps}")
-    check_weight_width(fmt)
     idx = state.add_datum(datum)
-    _draw_assignment(state, idx, stream, fmt)
+    _draw_assignment(state, idx, stream)
     for _ in range(inner_sweeps):
-        gibbs_sweep(state, stream, fmt)
+        gibbs_sweep(state, stream)
     return state
 
 
@@ -297,7 +295,7 @@ def read_idx_images(path, threshold: int = 128):
 
 
 def gibbs_chain(state: DpmmState, data, sweeps: int, burn_in: int,
-                stream: EntropyStream, fmt: EnergyFormat = DPMM_FORMAT):
+                stream: EntropyStream):
     """Batch Gibbs: stream each datum in (stream_datum, no inner sweeps),
     then sweep burn_in + sweeps times, yielding state after each retained
     sweep."""
@@ -306,25 +304,25 @@ def gibbs_chain(state: DpmmState, data, sweeps: int, burn_in: int,
     if burn_in < 0:
         raise ConfigError(f"burn-in must be nonnegative, got {burn_in}")
     for datum in data:
-        stream_datum(state, datum, 0, stream, fmt)
+        stream_datum(state, datum, 0, stream)
     for sweep in range(burn_in + sweeps):
-        gibbs_sweep(state, stream, fmt)
+        gibbs_sweep(state, stream)
         if sweep >= burn_in:
             yield state
 
 
 def run_batch(data, sweeps: int, stream: EntropyStream, alpha: float = 1.0,
               beta_on: float = 0.5, beta_off: float = 0.5,
-              burn_in: int | None = None, fmt: EnergyFormat = DPMM_FORMAT):
-    """gibbs_chain over a dataset, burn_in defaulting to max(10, its size);
-    returns (state, the canonical partition after each retained sweep)."""
+              burn_in: int | None = None, fmt: EnergyFormat | None = DPMM_FORMAT):
+    """gibbs_chain over a dataset, in a state drawn at fmt, burn_in
+    defaulting to max(10, its size); returns (state, the canonical partition
+    after each retained sweep)."""
     data = list(data)
     if not data:
         raise ConfigError("empty dataset")
     state = DpmmState(np.asarray(data[0]).size, alpha=alpha, beta_on=beta_on,
-                      beta_off=beta_off)
+                      beta_off=beta_off, fmt=fmt)
     if burn_in is None:
         burn_in = max(10, len(data))
-    partitions = [s.partition()
-                  for s in gibbs_chain(state, data, sweeps, burn_in, stream, fmt)]
+    partitions = [s.partition() for s in gibbs_chain(state, data, sweeps, burn_in, stream)]
     return state, partitions

@@ -728,10 +728,26 @@ def test_a_directory_given_as_an_input_file_exits_2(runner, tmp_path, args):
 
 @pytest.mark.parametrize("args", [
     ["query", "{bytes}"], ["fg", "validate", "{bytes}"], ["spike", "run", "{pgm}"],
-    ["gate", "sample", "--cpt", "{bytes}", "--input", "0"],
-], ids=["query", "fg-validate", "spike-pgm", "gate-cpt"])
+    ["gate", "sample", "--cpt", "{bytes}", "--input", "0"], ["dpmm", "run", "{bytes}"],
+], ids=["query", "fg-validate", "spike-pgm", "gate-cpt", "dpmm"])
 def test_an_input_that_is_not_utf8_text_exits_3(runner, tmp_path, args):
     assert "can't decode" in _invoke_at_the_boundary(runner, tmp_path, args, 3)
+
+
+@pytest.mark.parametrize("option, args", [
+    (["--fault-rate", "0.01"], ["query", "{model}", "--sweeps", "10"]),
+    (["--fault-rate", "0.01"], ["spike", "run", "{model}", "--sweeps", "10"]),
+    (["--fault-rate", "0.01"], ["stereo", "{pgm}", "{pgm}", "-d", "2", "--sweeps", "2"]),
+    (["--schedule", "serial"], ["fault-report", "{model}", "--sweeps", "10"]),
+    (["--schedule", "serial"], ["dpmm", "run", "{model}"]),
+    (["--format", "6,3"], ["precision-sweep", "--outcomes", "5", "--per-bin", "2"]),
+    (["--format", "6,3"], ["gate", "sample", "--cpt", "{model}", "--input", "0"]),
+], ids=["fault-rate-query", "fault-rate-spike", "fault-rate-stereo", "schedule-fault-report",
+        "schedule-dpmm", "format-precision-sweep", "format-gate"])
+def test_a_global_option_the_subcommand_never_reads_exits_6(runner, tmp_path, option, args):
+    output = _invoke_at_the_boundary(runner, tmp_path, option + args, 6)
+    assert f"{option[0]} is not read by {args[0]!r}" in output
+    assert "Traceback" not in output
 
 
 def test_a_model_file_named_dash_is_read_as_that_file(runner, tmp_path, monkeypatch):

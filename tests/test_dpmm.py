@@ -69,6 +69,18 @@ def test_chain_refuses_weights_past_the_gibbs_bound(bits, frac):
         run_batch(FOUR_POINT_DATA, 2, EntropyStream(1), fmt=EnergyFormat(bits, frac))
 
 
+def test_state_refuses_a_format_too_wide_when_it_is_built():
+    with pytest.raises(ConfigError, match="wider than"):
+        DpmmState(2, fmt=EnergyFormat(12, 0))
+
+
+def test_state_and_batch_refuse_the_float_path():
+    with pytest.raises(ConfigError, match="fixed-point"):
+        DpmmState(2, fmt=None)
+    with pytest.raises(ConfigError, match="fixed-point"):
+        run_batch(FOUR_POINT_DATA, 2, EntropyStream(1), fmt=None)
+
+
 def test_audit_checks_the_cached_rows_bit_for_bit():
     state, _ = run_batch(list(separated_dataset()[:8]), 5, EntropyStream(3))
     state.audit()

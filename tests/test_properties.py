@@ -389,12 +389,13 @@ def _cached_and_reference_dpmm_chains(data, fmt, alpha, beta_on, beta_off, seed,
         drawn.append(out[0])
         return out
 
-    state = dpmm.DpmmState(len(data[0]), alpha=alpha, beta_on=beta_on, beta_off=beta_off)
+    state = dpmm.DpmmState(len(data[0]), alpha=alpha, beta_on=beta_on, beta_off=beta_off,
+                           fmt=fmt)
     stream = EntropyStream(seed)
     partitions = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dpmm, "assignment_energies", recorded)
-        for _ in dpmm.gibbs_chain(state, data, sweeps, 0, stream, fmt):
+        for _ in dpmm.gibbs_chain(state, data, sweeps, 0, stream):
             state.audit()
             partitions.append(state.partition())
     ref_stream = EntropyStream(seed)
